@@ -22,10 +22,10 @@
  *     preserved so the clock shows exactly what a pure run would show.
  *     The golden suite asserts this end to end.
  *
- *   - Paths that need watchdogs, profiling, or the sanitizer delegate
- *     to the pure implementation (via _run_general_compiled in
- *     repro.sim.engine) built on the C _pop_due primitive; only the
- *     watchdog-free fast paths are fully in C.
+ *   - Only the watchdog-free run loop (run_fast) is in C.  run() with
+ *     watchdogs, profiling, or the sanitizer calls the one checked loop
+ *     both builds share (repro.sim.engine._run_checked), and step() is
+ *     inherited from the pure class; both sit on the C _pop_due.
  *
  *   - Link/Node override the per-packet methods and call the C
  *     scheduler internals directly, delegating every cold or unusual
@@ -36,7 +36,6 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
-#include <time.h>
 
 /* ------------------------------------------------------------------ */
 /* Cached objects (module-lifetime, set in module exec)                */
@@ -62,7 +61,7 @@ static PyObject *cnode_type_obj;
 static Py_ssize_t csim_state_off;      /* C struct offset inside instances */
 
 /* Lazily resolved (import cycles: these import repro.core / checkpoint) */
-static PyObject *run_general_fn;       /* repro.sim.engine._run_general_compiled */
+static PyObject *run_checked_fn;       /* repro.sim.engine._run_checked */
 static PyObject *unpickle_sim_fn;      /* repro.core.engine_select._unpickle_* */
 static PyObject *unpickle_link_fn;
 static PyObject *unpickle_node_fn;
@@ -70,7 +69,7 @@ static PyObject *unpickle_node_fn;
 /* Interned attribute names */
 static PyObject *str_heap_high_water, *str_receive, *str_name, *str_agents,
     *str_links, *str_routes, *str_dead_letters, *str_enqueue, *str_push,
-    *str_pop, *str_get, *str_delay_for, *str_record, *str_getstate,
+    *str_pop, *str_get, *str_delay_for, *str_getstate,
     *str_notify_drop, *str_run_checkpointed, *str_post_in;
 
 /* Pure-class slot offsets, resolved from member descriptors at init.   */
@@ -1151,82 +1150,23 @@ csim_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
     }
     if (a[1] != Py_None || a[2] != Py_None || a[3] != Py_None || sanitize_true
         || (st->profile != NULL && st->profile != Py_None)) {
-        /* General path: watchdogs / profiling / sanitizer.  Delegates
-         * to the pure implementation driven by the C _pop_due
-         * primitive (repro.sim.engine._run_general_compiled). */
-        if (run_general_fn == NULL) {
+        /* Checked path: watchdogs / profiling / sanitizer run in the one
+         * Python loop both builds share, over the C _pop_due. */
+        if (run_checked_fn == NULL) {
             PyObject *mod = PyImport_ImportModule("repro.sim.engine");
             if (mod == NULL) {
                 return NULL;
             }
-            run_general_fn =
-                PyObject_GetAttrString(mod, "_run_general_compiled");
+            run_checked_fn = PyObject_GetAttrString(mod, "_run_checked");
             Py_DECREF(mod);
-            if (run_general_fn == NULL) {
+            if (run_checked_fn == NULL) {
                 return NULL;
             }
         }
-        return PyObject_CallFunctionObjArgs(run_general_fn, self, a[0], a[1],
+        return PyObject_CallFunctionObjArgs(run_checked_fn, self, a[0], a[1],
                                             a[2], a[3], NULL);
     }
     return run_fast(self, a[0]);
-}
-
-static PyObject *
-csim_step(PyObject *self, PyObject *ignored)
-{
-    csim_state *st = CSIM_ST(self);
-    entry_t e;
-    PyObject *callback = NULL;
-    PyObject *res;
-    int got;
-    (void)ignored;
-    got = pop_due(st, Py_HUGE_VAL, &e, &callback);
-    if (got == 0) {
-        Py_RETURN_FALSE;
-    }
-    Py_XSETREF(st->now_obj, Py_NewRef(e.time_obj));
-    st->now_d = e.time;
-    if (st->profile != NULL && st->profile != Py_None) {
-        struct timespec t0, t1;
-        double dt;
-        PyObject *dt_obj, *r;
-        clock_gettime(CLOCK_MONOTONIC, &t0);
-        res = call_event(callback, e.args);
-        clock_gettime(CLOCK_MONOTONIC, &t1);
-        Py_DECREF(callback);
-        if (res == NULL) {
-            entry_decref(&e);
-            return NULL;
-        }
-        Py_DECREF(res);
-        dt = (double)(t1.tv_sec - t0.tv_sec)
-             + (double)(t1.tv_nsec - t0.tv_nsec) * 1e-9;
-        dt_obj = PyFloat_FromDouble(dt);
-        if (dt_obj == NULL) {
-            entry_decref(&e);
-            return NULL;
-        }
-        r = PyObject_CallMethodObjArgs(st->profile, str_record, e.label,
-                                       dt_obj, NULL);
-        Py_DECREF(dt_obj);
-        entry_decref(&e);
-        if (r == NULL) {
-            return NULL;
-        }
-        Py_DECREF(r);
-    }
-    else {
-        res = call_event(callback, e.args);
-        Py_DECREF(callback);
-        entry_decref(&e);
-        if (res == NULL) {
-            return NULL;
-        }
-        Py_DECREF(res);
-    }
-    st->dispatched++;
-    Py_RETURN_TRUE;
 }
 
 static PyObject *
@@ -1298,7 +1238,6 @@ static PyMethodDef csim_methods[] = {
     {"post_batch", (PyCFunction)csim_post_batch, METH_O, NULL},
     {"run", (PyCFunction)(void (*)(void))csim_run,
      METH_FASTCALL | METH_KEYWORDS, NULL},
-    {"step", (PyCFunction)csim_step, METH_NOARGS, NULL},
     {"peek_time", (PyCFunction)csim_peek_time, METH_NOARGS, NULL},
     {"_pop_due", (PyCFunction)csim_pop_due, METH_O, NULL},
     {"__reduce_ex__", (PyCFunction)csim_reduce_ex, METH_O, NULL},
@@ -2175,7 +2114,6 @@ core_exec(PyObject *module)
         || (str_pop = intern_str("pop")) == NULL
         || (str_get = intern_str("get")) == NULL
         || (str_delay_for = intern_str("delay_for")) == NULL
-        || (str_record = intern_str("record")) == NULL
         || (str_getstate = intern_str("__getstate__")) == NULL
         || (str_notify_drop = intern_str("_notify_drop")) == NULL
         || (str_run_checkpointed = intern_str("_run_checkpointed")) == NULL

@@ -12,10 +12,11 @@ self-describing)::
 
 Guarantees:
 
-* **Atomicity** — :func:`write_container` writes to a temp file in the
-  destination directory, flushes and fsyncs it, then ``os.replace``\\ s
-  it over the target.  A crash mid-write leaves either the old file or
-  no file, never a torn one.
+* **Atomicity** — :func:`write_container` goes through
+  :func:`repro.util.atomic.atomic_write` with ``durable=True``: temp
+  file in the destination directory, flush + fsync, ``os.replace``
+  over the target, directory fsync.  A crash mid-write leaves either
+  the old file or no file, never a torn one.
 * **Integrity** — every section carries its own CRC32; a mismatch (or
   truncation, or a missing end marker) raises
   :class:`~repro.checkpoint.errors.CheckpointCorruptError` naming the
@@ -25,13 +26,12 @@ Guarantees:
 
 from __future__ import annotations
 
-import os
-import tempfile
 import zlib
 from pathlib import Path
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import BinaryIO, Dict, List, Mapping, Tuple, Union
 
 from repro.checkpoint.errors import CheckpointCorruptError, CheckpointFormatError
+from repro.util.atomic import atomic_write
 
 PathLike = Union[str, Path]
 
@@ -44,31 +44,18 @@ _END = b"@end\n"
 
 def write_container(path: PathLike, sections: Mapping[str, bytes]) -> None:
     """Atomically write ``sections`` to ``path`` (temp + fsync + rename)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(MAGIC)
-            for name, payload in sections.items():
-                _check_section_name(name)
-                crc = zlib.crc32(payload)
-                handle.write(f"@{name} {len(payload)} {crc}\n".encode("ascii"))
-                handle.write(payload)
-                handle.write(b"\n")
-            handle.write(_END)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    _fsync_directory(path.parent)
+
+    def write(handle: BinaryIO) -> None:
+        handle.write(MAGIC)
+        for name, payload in sections.items():
+            _check_section_name(name)
+            crc = zlib.crc32(payload)
+            handle.write(f"@{name} {len(payload)} {crc}\n".encode("ascii"))
+            handle.write(payload)
+            handle.write(b"\n")
+        handle.write(_END)
+
+    atomic_write(path, write, durable=True)
 
 
 def read_container(path: PathLike) -> Dict[str, bytes]:
@@ -160,17 +147,3 @@ def _parse_header(header: bytes, path: Path) -> Tuple[str, int, int]:
     if length < 0:
         raise CheckpointCorruptError(name, f"negative length {length}", str(path))
     return name, length, crc
-
-
-def _fsync_directory(directory: Path) -> None:
-    """Best-effort directory fsync so the rename itself is durable."""
-    try:
-        dir_fd = os.open(str(directory), os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:
-        pass
-    finally:
-        os.close(dir_fd)

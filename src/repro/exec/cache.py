@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+
+from repro.util.atomic import atomic_write
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.spec import SweepCell
@@ -131,7 +131,6 @@ class ResultCache:
         from repro.experiments.serialize import encode_result, result_to_jsonable
 
         path = self.path_for(cell)
-        path.parent.mkdir(parents=True, exist_ok=True)
         blob: Dict[str, Any] = {
             "schema": CACHE_SCHEMA_VERSION,
             "version": self.version,
@@ -140,18 +139,11 @@ class ResultCache:
             "seed": cell.seed,
             "result": encode_result(value),
         }
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.stem, suffix=".tmp"
+        atomic_write(
+            path,
+            # lint: allow-unsorted-json(the stored entry, not a hash input: result key order must survive the round trip)
+            lambda handle: handle.write(json.dumps(blob).encode("ascii")),
+            durable=False,
         )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(blob, handle)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
         self.stats.stores += 1
         return path

@@ -34,12 +34,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.lint.findings import Finding
 from repro.lint.project import ModuleSummary
+from repro.util.atomic import atomic_write
 
 __all__ = [
     "CacheStats",
@@ -143,15 +143,14 @@ class LintCache:
     def _store(self, bucket: str, key: str, payload: Dict[str, Any]) -> None:
         if not self.enabled:
             return
-        directory = os.path.join(self.cache_dir, bucket)
         try:
-            os.makedirs(directory, exist_ok=True)
-            descriptor, tmp_path = tempfile.mkstemp(
-                dir=directory, suffix=".tmp"
+            atomic_write(
+                self._entry_path(bucket, key),
+                lambda handle: handle.write(
+                    json.dumps(payload, sort_keys=True).encode("utf-8")
+                ),
+                durable=False,
             )
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(tmp_path, self._entry_path(bucket, key))
         except OSError:
             return  # a failed cache write must never fail the lint run
 

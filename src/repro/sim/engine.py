@@ -91,8 +91,8 @@ class Simulator:
             TCP-PR sender reads this flag).  A violation raises
             :class:`~repro.sim.errors.InvariantViolation` at the moment
             the invariant breaks rather than letting the run diverge
-            silently.  Off by default — sanitizing forces the general
-            (non-fast-path) run loop.
+            silently.  Off by default — sanitizing forces the checked
+            run loop (:func:`_run_checked`).
 
     Attributes:
         now: Current simulation time in seconds.
@@ -362,12 +362,16 @@ class Simulator:
             checkpoint_every: Snapshot the simulator to
                 ``checkpoint_path`` every this many *simulation* seconds
                 (see :mod:`repro.checkpoint`).  The run is executed as a
-                sequence of plain segments, so the no-checkpoint path is
-                byte-for-byte the code it always was; the final state at
-                ``until`` is not snapshotted (the run completed).  Both
-                checkpoint arguments must be given together.
+                sequence of plain ``run(until=boundary)`` segments; the
+                final state at ``until`` is not snapshotted (the run
+                completed).  Both checkpoint arguments must be given
+                together.
             checkpoint_path: Destination file for the periodic snapshot
                 (atomically replaced at every boundary).
+
+        A call with no watchdog argument on a simulator without
+        ``profile``/``sanitize`` takes the fast loop below (every figure
+        run does); anything else runs in :func:`_run_checked`.
         """
         if checkpoint_every is not None or checkpoint_path is not None:
             self._run_checkpointed(
@@ -379,100 +383,29 @@ class Simulator:
                 checkpoint_path,
             )
             return
+        if (
+            max_events is not None
+            or deadline is not None
+            or livelock_threshold is not None
+            or self._profile is not None
+            or self.sanitize
+        ):
+            _run_checked(self, until, max_events, deadline, livelock_threshold)
+            return
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
-        if deadline is not None and deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline}")
-        if livelock_threshold is not None and livelock_threshold <= 0:
-            raise ValueError(
-                f"livelock_threshold must be positive, got {livelock_threshold}"
-            )
         self._running = True
-        started_wall = _time.monotonic() if deadline is not None else 0.0
-        stalled = 0
         # The dispatch counter runs as a local and is written back in the
         # finally block: one attribute store per run() instead of one per
-        # event.  (Nothing reads it mid-run — the watchdog errors below
-        # use the local.)
+        # event.  step() refuses to run while this frame owns the counter.
         dispatched = self._dispatched
         try:
             heap = self._heap
             pop = heapq.heappop
             handle_type = EventHandle
-            # Hoisted: the detached-profiling cost inside the loop is one
-            # local-variable None check per event.
-            profile = self._profile
             until_cmp = _INF if until is None else until
-            sanitize = self.sanitize
-            if sanitize:
-                self._audit_live()
-            if (
-                max_events is None
-                and deadline is None
-                and livelock_threshold is None
-                and profile is None
-                and not sanitize
-            ):
-                # Fast path: no watchdogs, no profiling — the per-event
-                # work is exactly pop, clock advance, callback.  This is
-                # the configuration every figure run uses, so the general
-                # loop's four per-event None checks are worth forking
-                # over.
-                if until is None:
-                    # Drain-the-queue flavour: nothing can stop short of
-                    # an empty heap, so pop directly instead of peeking
-                    # first (saves an index plus a compare per event).
-                    while heap:
-                        head_time, _, target, args, _ = pop(heap)
-                        if type(target) is handle_type:
-                            callback = target.callback
-                            if callback is None:  # cancelled
-                                continue
-                            target.callback = None
-                        else:
-                            callback = target
-                        self._live -= 1
-                        self.now = head_time
-                        if args is None:
-                            callback()
-                        elif len(args) == 1:
-                            callback(args[0])
-                        else:
-                            callback(*args)
-                        dispatched += 1
-                    return
-                while heap:
-                    entry = heap[0]
-                    target = entry[2]
-                    if type(target) is handle_type:
-                        callback = target.callback
-                        if callback is None:  # lazily-deleted (cancelled)
-                            pop(heap)
-                            continue
-                        if entry[0] > until_cmp:
-                            break
-                        pop(heap)
-                        target.callback = None  # mark dispatched
-                    else:
-                        callback = target
-                        if entry[0] > until_cmp:
-                            break
-                        pop(heap)
-                    self._live -= 1
-                    self.now = entry[0]
-                    args = entry[3]
-                    # One-arg events (a packet) are the overwhelming
-                    # majority; a direct call skips CALL_FUNCTION_EX.
-                    if args is None:
-                        callback()
-                    elif len(args) == 1:
-                        callback(args[0])
-                    else:
-                        callback(*args)
-                    dispatched += 1
-                if until is not None and self.now < until:
-                    self.now = until
-                return
+            # Fast loop: no watchdogs, no profiling — the per-event work
+            # is exactly peek, pop, clock advance, callback.
             while heap:
                 entry = heap[0]
                 target = entry[2]
@@ -481,65 +414,27 @@ class Simulator:
                     if callback is None:  # lazily-deleted (cancelled)
                         pop(heap)
                         continue
-                    head_time = entry[0]
-                    if head_time > until_cmp:
+                    if entry[0] > until_cmp:
                         break
                     pop(heap)
                     target.callback = None  # mark dispatched
                 else:
                     callback = target
-                    head_time = entry[0]
-                    if head_time > until_cmp:
+                    if entry[0] > until_cmp:
                         break
                     pop(heap)
                 self._live -= 1
-                if livelock_threshold is not None:
-                    if head_time > self.now:
-                        stalled = 0
-                    else:
-                        stalled += 1
-                        if stalled >= livelock_threshold:
-                            raise LivelockError(head_time, stalled)
-                if sanitize and head_time < self.now:
-                    raise InvariantViolation(
-                        "heap-time-monotonic",
-                        f"heap head fires at t={head_time!r} but the clock "
-                        f"is already at t={self.now!r} (heap or clock was "
-                        "mutated behind the engine's back)",
-                    )
-                self.now = head_time
+                self.now = entry[0]
                 args = entry[3]
-                if profile is None:
-                    if args is None:
-                        callback()
-                    else:
-                        callback(*args)
+                # One-arg events (a packet) are the overwhelming
+                # majority; a direct call skips CALL_FUNCTION_EX.
+                if args is None:
+                    callback()
+                elif len(args) == 1:
+                    callback(args[0])
                 else:
-                    started = _time.perf_counter()
-                    if args is None:
-                        callback()
-                    else:
-                        callback(*args)
-                    profile.record(
-                        entry[4], _time.perf_counter() - started
-                    )
+                    callback(*args)
                 dispatched += 1
-                if sanitize and dispatched % _SANITIZE_AUDIT_INTERVAL == 0:
-                    self._audit_live()
-                if max_events is not None and dispatched >= max_events:
-                    raise SimulationError(
-                        f"event budget exhausted ({max_events} events)"
-                    )
-                if (
-                    deadline is not None
-                    and dispatched % _DEADLINE_CHECK_INTERVAL == 0
-                    and _time.monotonic() - started_wall > deadline
-                ):
-                    raise DeadlineExceededError(
-                        deadline, self.now, dispatched
-                    )
-            if sanitize and not heap:
-                self._audit_live()  # drained heap must leave _live == 0
             if until is not None and self.now < until:
                 self.now = until
         finally:
@@ -549,11 +444,11 @@ class Simulator:
     def _pop_due(self, until_cmp: float) -> Optional[Tuple[Any, ...]]:
         """Pop the next live event due at or before ``until_cmp``.
 
-        Primitive for the compiled engine's general run loop (see
-        :func:`_run_general_compiled`); the compiled class overrides it
-        in C.  Pops lazily-deleted (cancelled) heads on the way, marks
-        handle-backed events dispatched, and decrements the live
-        counter — everything the run loops do *before* advancing the
+        The one primitive everything off the fast loop is built on
+        (:func:`_run_checked`, :meth:`step`); the compiled class
+        overrides it in C.  Pops lazily-deleted (cancelled) heads on the
+        way, marks handle-backed events dispatched, and decrements the
+        live counter — everything a dispatch does *before* advancing the
         clock.  Returns ``(time, callback, args, label)`` or None when
         nothing is due.
         """
@@ -694,37 +589,32 @@ class Simulator:
     def step(self) -> bool:
         """Dispatch the single next pending event.
 
+        Shared by both engine builds (the compiled class inherits it and
+        supplies only the C ``_pop_due``).
+
         Returns:
             True if an event was dispatched, False if the queue is empty.
+
+        Raises:
+            SimulationError: if called from a callback while :meth:`run`
+                is active (``run`` owns the dispatch counter).
         """
-        heap = self._heap
+        if self._running:
+            raise SimulationError("Simulator.step() is not reentrant")
+        popped = self._pop_due(_INF)
+        if popped is None:
+            return False
+        self.now, callback, args, label = popped
         profile = self._profile
-        while heap:
-            head_time, _, target, args, label = heapq.heappop(heap)
-            if type(target) is EventHandle:
-                callback = target.callback
-                if callback is None:
-                    continue
-                target.callback = None
-            else:
-                callback = target
-            self._live -= 1
-            self.now = head_time
-            if profile is None:
-                if args is None:
-                    callback()
-                else:
-                    callback(*args)
-            else:
-                started = _time.perf_counter()
-                if args is None:
-                    callback()
-                else:
-                    callback(*args)
-                profile.record(label, _time.perf_counter() - started)
-            self._dispatched += 1
-            return True
-        return False
+        started = _time.perf_counter() if profile is not None else 0.0
+        if args is None:
+            callback()
+        else:
+            callback(*args)
+        if profile is not None:
+            profile.record(label, _time.perf_counter() - started)
+        self._dispatched += 1
+        return True
 
     # ------------------------------------------------------------------
     # Sanitizer
@@ -819,24 +709,23 @@ class Simulator:
         )
 
 
-def _run_general_compiled(
+def _run_checked(
     sim: "Simulator",
     until: Optional[float],
     max_events: Optional[int],
     deadline: Optional[float],
     livelock_threshold: Optional[int],
 ) -> None:
-    """General (watchdog/profile/sanitize) run loop for the compiled engine.
+    """The one watchdog/profile/sanitize run loop, shared by both builds.
 
-    The compiled ``Simulator.run`` handles only the fast paths in C and
-    delegates here — a line-for-line mirror of the pure general loop in
-    :meth:`Simulator.run` — whenever watchdogs, profiling, or the
-    sanitizer are in play.  The per-event pop/cancel/mark-dispatched
-    work runs through the C ``_pop_due`` primitive, so the cost of
-    keeping this path in Python is one Python-level iteration per
-    *dispatched* event, which the watchdog checks dominate anyway.
-    Checked-path semantics (error types, messages, check cadence,
-    counter staleness) are identical between the builds by construction.
+    :meth:`Simulator.run` and the compiled ``run`` both hand over to
+    this function whenever a watchdog argument, ``profile`` or
+    ``sanitize`` is in play, so checked-path semantics (error types,
+    messages, check cadence, counter write-back) have a single
+    definition.  The per-event pop/cancel/mark-dispatched work goes
+    through ``sim._pop_due`` (pure or C); the price over an inline loop
+    is one method call and one 4-tuple per *dispatched* event
+    (≈0.3 µs), paid only by checked runs.
     """
     if sim._running:
         raise SimulationError("Simulator.run() is not reentrant")
