@@ -28,89 +28,60 @@ Quickstart::
     print(flow.throughput_bps(10.0) / 1e6, "Mbps")
 """
 
-from repro.analysis import (
-    coefficient_of_variation,
-    jain_index,
-    mean_normalized_throughput,
-    normalized_throughputs,
-)
-from repro.app import BulkTransfer, OnOffSource
-from repro.core import MaxRttEstimator, PrConfig, TcpPrSender
-from repro.net import Network, Packet
-from repro.routing import (
-    EpsilonMultipathPolicy,
-    RouteFlapper,
-    discover_paths,
-    install_shortest_path_routes,
-)
-from repro.sim import Simulator
-from repro.tcp import (
-    TcpConfig,
-    TcpReceiver,
-    available_variants,
-    make_sender,
-)
-from repro.topologies import (
-    DumbbellSpec,
-    FatTreeSpec,
-    MultipathMeshSpec,
-    ParkingLotSpec,
-    Topology,
-    TopologySpec,
-    WanMeshSpec,
-    build_dumbbell,
-    build_multipath_mesh,
-    build_parking_lot,
-)
-from repro.obs import (
-    CwndMonitor,
-    FlowThroughputMonitor,
-    Instrumentation,
-    MetricsRegistry,
-    PacketTracer,
-    QueueMonitor,
-    observe,
-)
+from importlib import import_module
+from typing import Any
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BulkTransfer",
-    "CwndMonitor",
-    "DumbbellSpec",
-    "EpsilonMultipathPolicy",
-    "FatTreeSpec",
-    "FlowThroughputMonitor",
-    "Instrumentation",
-    "MaxRttEstimator",
-    "MetricsRegistry",
-    "MultipathMeshSpec",
-    "Network",
-    "OnOffSource",
-    "Packet",
-    "PacketTracer",
-    "ParkingLotSpec",
-    "PrConfig",
-    "QueueMonitor",
-    "RouteFlapper",
-    "Simulator",
-    "TcpConfig",
-    "TcpPrSender",
-    "TcpReceiver",
-    "Topology",
-    "TopologySpec",
-    "WanMeshSpec",
-    "available_variants",
-    "build_dumbbell",
-    "build_multipath_mesh",
-    "build_parking_lot",
-    "coefficient_of_variation",
-    "discover_paths",
-    "install_shortest_path_routes",
-    "jain_index",
-    "make_sender",
-    "mean_normalized_throughput",
-    "normalized_throughputs",
-    "observe",
-    "__version__",
-]
+#: Public name -> the subpackage that defines it.  Resolved on first
+#: access (PEP 562), so ``import repro`` itself loads no subpackage and
+#: a command pays only for the layers it touches.
+_EXPORTS = {
+    "BulkTransfer": "repro.app",
+    "CwndMonitor": "repro.obs",
+    "DumbbellSpec": "repro.topologies",
+    "EpsilonMultipathPolicy": "repro.routing",
+    "FatTreeSpec": "repro.topologies",
+    "FlowThroughputMonitor": "repro.obs",
+    "Instrumentation": "repro.obs",
+    "MaxRttEstimator": "repro.core",
+    "MetricsRegistry": "repro.obs",
+    "MultipathMeshSpec": "repro.topologies",
+    "Network": "repro.net",
+    "OnOffSource": "repro.app",
+    "Packet": "repro.net",
+    "PacketTracer": "repro.obs",
+    "ParkingLotSpec": "repro.topologies",
+    "PrConfig": "repro.core",
+    "QueueMonitor": "repro.obs",
+    "RouteFlapper": "repro.routing",
+    "Simulator": "repro.sim",
+    "TcpConfig": "repro.tcp",
+    "TcpPrSender": "repro.core",
+    "TcpReceiver": "repro.tcp",
+    "Topology": "repro.topologies",
+    "TopologySpec": "repro.topologies",
+    "WanMeshSpec": "repro.topologies",
+    "available_variants": "repro.tcp",
+    "build_dumbbell": "repro.topologies",
+    "build_multipath_mesh": "repro.topologies",
+    "build_parking_lot": "repro.topologies",
+    "coefficient_of_variation": "repro.analysis",
+    "discover_paths": "repro.routing",
+    "install_shortest_path_routes": "repro.routing",
+    "jain_index": "repro.analysis",
+    "make_sender": "repro.tcp",
+    "mean_normalized_throughput": "repro.analysis",
+    "normalized_throughputs": "repro.analysis",
+    "observe": "repro.obs",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(module), name)
+    return value

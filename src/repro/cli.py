@@ -36,11 +36,20 @@ analyze FILE`` computes pcap-style reordering analytics from a
 scenario, and ``trace convert CAPTURE.csv`` imports an external
 capture into the same schema.
 
+This module is the command table, the shared flag groups and the shared
+output tail (:func:`_finish`, :func:`write_jsonl`) only.  Each entry
+of :data:`COMMANDS` names the :mod:`repro.commands` module holding that
+command's argparse definitions, ``_cmd_*`` handlers and heavy imports;
+:func:`main` imports just the module of the command that is the first
+token on argv (so ``variants`` starts without the executor, the
+experiments or the linter), and :func:`build_parser` with no argument
+imports them all and returns the complete parser.
+
 Flag groups are defined once as argparse *parent parsers*
 (:func:`_execution_parent`: scale/seed/jobs/cache/failure-policy;
 :func:`_obs_parent`: ``--json``/``--metrics-out``/``--trace-out``;
-:func:`_engine_parent`: ``--engine``) and inherited by every
-sweep-running subcommand, so new subcommands get the full flag surface
+:func:`_engine_parent`: ``--engine``) and handed to every command
+module's ``add_parser``, so new subcommands get the full flag surface
 by construction.
 
 Engine selection (``docs/COMPILED.md``): every subcommand accepts
@@ -53,58 +62,38 @@ is activated before dispatch and exported to worker processes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
+from importlib import import_module
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.exec import (
-    DEFAULT_CACHE_DIR,
-    CellError,
-    ParallelRunner,
-    ResultCache,
-    Scale,
-    SweepCell,
-    SweepError,
+#: ``repro.exec.DEFAULT_CACHE_DIR``, spelled out because ``--cache-dir``
+#: is defined for every command and must not import the executor to
+#: print ``variants`` (``tests/test_cli.py`` holds the two equal).
+DEFAULT_CACHE_DIR = ".repro-cache"
+
+#: ``(name, help line, module under repro.commands)`` in help order.
+#: A module exposes ``add_parser(sub, name, help_line, common)``, which
+#: adds the command to the subparsers action ``sub``; ``common`` is the
+#: list of shared parent parsers (execution, observability, engine --
+#: the engine selector alone is ``common[-1]``).
+COMMANDS: Tuple[Tuple[str, str, str], ...] = (
+    ("variants", "list available TCP variants", "variants"),
+    ("fig2", "Figure 2: fairness vs TCP-SACK", "figures"),
+    ("fig3", "Figure 3: CoV vs loss rate", "figures"),
+    ("fig4", "Figure 4: alpha/beta sensitivity", "figures"),
+    ("fig6", "Figure 6: multipath throughput", "figures"),
+    ("fig7", "Figure 7: goodput under scheduled outages/blackouts", "figures"),
+    ("scale", "run a declarative scenario sharded across the worker pool",
+     "scale"),
+    ("lint", "run the project's determinism/hot-path/hygiene lint rules",
+     "lint"),
+    ("obs", "inspect or convert a repro.obs/v1 record stream", "obs"),
+    ("ckpt", "inspect simulator checkpoint files (repro.ckpt/v1)", "ckpt"),
+    ("bench", "inspect committed benchmark results", "bench"),
+    ("compare", "compare chosen variants in one multipath scenario", "figures"),
+    ("trace", "analyze, replay, or import packet trace streams", "trace"),
 )
-from repro.experiments import (
-    fig2_fairness,
-    fig3_cov,
-    fig4_params,
-    fig6_multipath,
-    fig7_faults,
-)
-from repro.experiments.report import bar_chart
-from repro.experiments.serialize import dump_result
-from repro.obs import read_jsonl, summarize_records, write_csv, write_jsonl
-from repro.scenarios import (
-    SIZE_DISTRIBUTIONS,
-    ScenarioSpec,
-    ShardPlan,
-    WorkloadSpec,
-    format_scale,
-    run_scale,
-)
-from repro.tcp.registry import available_variants
-from repro.topologies import (
-    DumbbellSpec,
-    FatTreeSpec,
-    MultipathMeshSpec,
-    ParkingLotSpec,
-    WanMeshSpec,
-)
-from repro.traces import (
-    ReorderProfile,
-    TraceStream,
-    analyze_stream,
-    convert_capture,
-    distill_profile,
-    format_report,
-    replay_flow_workload,
-    replay_profile,
-)
-from repro.util.units import MS
 
 
 def _execution_parent() -> argparse.ArgumentParser:
@@ -248,646 +237,38 @@ def _engine_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _cache_from(args: argparse.Namespace) -> Optional[ResultCache]:
-    return None if args.no_cache else ResultCache(args.cache_dir)
+def write_jsonl(
+    records: Iterable[Dict[str, Any]], path: "str | Path", **header_fields: Any
+) -> Path:
+    """The ``--metrics-out``/``--trace-out`` export of every command.
 
+    Command modules call it as ``cli.write_jsonl`` so that a wrapper
+    installed on this module (the benchmark's ``obs.export`` span) sees
+    every export; :mod:`repro.obs` is imported on the first call.
+    """
+    from repro.obs import write_jsonl as export
 
-def _runner_from(args: argparse.Namespace) -> ParallelRunner:
-    """One runner per invocation, so ``last_stats`` survives the sweep."""
-    return ParallelRunner(
-        jobs=args.jobs,
-        cache=_cache_from(args),
-        timeout=args.cell_timeout,
-        retries=args.retries,
-        backoff=args.retry_backoff,
-        keep_going=args.keep_going,
-        collect_metrics=bool(args.metrics_out),
-        collect_trace=bool(args.trace_out),
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-    )
-
-
-def _write_observability(args: argparse.Namespace, telemetries: List[Any]) -> None:
-    """Serialize collected sweep telemetry to ``--metrics-out``/``--trace-out``."""
-    telemetries = [telemetry for telemetry in telemetries if telemetry is not None]
-    if args.metrics_out:
-        records = [
-            record
-            for telemetry in telemetries
-            for record in telemetry.metric_records()
-        ]
-        path = write_jsonl(records, args.metrics_out, command=args.command)
-        print(f"[metrics written to {path}]")
-    if args.trace_out:
-        records = [
-            record
-            for telemetry in telemetries
-            for record in telemetry.trace_records()
-        ]
-        path = write_jsonl(records, args.trace_out, command=args.command)
-        print(f"[trace written to {path}]")
-
-
-def _failure_report(runner: ParallelRunner) -> str:
-    """Human-readable summary of any failed cells (empty when clean)."""
-    stats = runner.last_stats
-    if not stats.errors:
-        return ""
-    lines = [
-        f"{len(stats.errors)} of {stats.total} cells failed "
-        f"({stats.timed_out} timed out, {stats.retried} retried):"
-    ]
-    lines.extend(f"  {error.summary()}" for error in stats.errors)
-    return "\n".join(lines)
+    return export(records, path, **header_fields)
 
 
 def _finish(args: argparse.Namespace, result: Any, text: str) -> int:
     """Shared tail of every subcommand: print, optionally dump JSON."""
     print(text)
     if args.json:
+        from repro.experiments.serialize import dump_result
+
         path = dump_result(result, args.json)
         print(f"[json written to {path}]")
     return 0
 
 
-def _cmd_variants(args: argparse.Namespace) -> int:
-    names = list(available_variants())
-    lines = ["Available TCP variants:"] + [f"  {name}" for name in names]
-    return _finish(args, {"variants": names}, "\n".join(lines))
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The complete parser, or one with only ``command`` materialised.
 
-
-@dataclass(frozen=True)
-class _FigureCommand:
-    """One figure subcommand: spec class + entry point + formatter."""
-
-    spec_cls: type
-    run: Callable[..., Any]
-    fmt: Callable[[Any], str]
-    #: Maps parsed args to spec-field overrides (None values are ignored
-    #: by ``presets``, so optional CLI arguments forward verbatim).
-    overrides: Callable[[argparse.Namespace], Dict[str, Any]]
-
-
-_FIGURES: Dict[str, _FigureCommand] = {
-    "fig2": _FigureCommand(
-        spec_cls=fig2_fairness.Fig2Spec,
-        run=fig2_fairness.run_fig2,
-        fmt=fig2_fairness.format_fig2,
-        overrides=lambda args: {
-            "topology": args.topology,
-            "flow_counts": tuple(args.flows) if args.flows else None,
-            "duration": args.duration,
-            "measure_window": args.window,
-        },
-    ),
-    "fig3": _FigureCommand(
-        spec_cls=fig3_cov.Fig3Spec,
-        run=fig3_cov.run_fig3,
-        fmt=fig3_cov.format_fig3,
-        overrides=lambda args: {
-            "topology": args.topology,
-            "bandwidths_mbps": tuple(args.bandwidths) if args.bandwidths else None,
-            "total_flows": args.flows,
-            "duration": args.duration,
-            "measure_window": args.window,
-        },
-    ),
-    "fig4": _FigureCommand(
-        spec_cls=fig4_params.Fig4Spec,
-        run=fig4_params.run_fig4,
-        fmt=fig4_params.format_fig4,
-        overrides=lambda args: {
-            "alphas": tuple(args.alphas) if args.alphas else None,
-            "betas": tuple(args.betas) if args.betas else None,
-            "total_flows": args.flows,
-            "duration": args.duration,
-            "measure_window": args.window,
-        },
-    ),
-    "fig6": _FigureCommand(
-        spec_cls=fig6_multipath.Fig6Spec,
-        run=fig6_multipath.run_fig6,
-        fmt=fig6_multipath.format_fig6,
-        overrides=lambda args: {
-            "link_delay": args.delay_ms * MS if args.delay_ms is not None else None,
-            "protocols": tuple(args.protocols) if args.protocols else None,
-            "epsilons": tuple(args.epsilons) if args.epsilons else None,
-            "duration": args.duration,
-        },
-    ),
-    "fig7": _FigureCommand(
-        spec_cls=fig7_faults.Fig7Spec,
-        run=fig7_faults.run_fig7,
-        fmt=fig7_faults.format_fig7,
-        overrides=lambda args: {
-            "link_delay": args.delay_ms * MS if args.delay_ms is not None else None,
-            "protocols": tuple(args.protocols) if args.protocols else None,
-            "outages": tuple(args.outages) if args.outages else None,
-            "period": args.period,
-            "duration": args.duration,
-        },
-    ),
-}
-
-
-def _cmd_figure(args: argparse.Namespace) -> int:
-    """The single code path every figure subcommand dispatches through."""
-    command = _FIGURES[args.command]
-    spec = command.spec_cls.presets(
-        Scale.from_flag(args.paper_scale),
-        seed=args.seed,
-        **command.overrides(args),
-    )
-    runner = _runner_from(args)
-    try:
-        result = command.run(spec, runner=runner)
-    except SweepError as exc:
-        print(f"sweep failed ({args.command}):", file=sys.stderr)
-        for error in exc.errors:
-            print(f"  {error.summary()}", file=sys.stderr)
-        return 1
-    text = command.fmt(result)
-    payload: Any = result
-    failures = _failure_report(runner)
-    telemetries = [runner.last_stats.telemetry]
-
-    if getattr(args, "extreme", False):
-        sweep_spec = fig4_params.BetaSweepSpec.presets(
-            Scale.from_flag(args.paper_scale), seed=args.seed
-        )
-        try:
-            points = fig4_params.run_extreme_loss_beta_sweep(
-                sweep_spec, runner=runner
-            )
-        except SweepError as exc:
-            print("sweep failed (extreme beta sweep):", file=sys.stderr)
-            for error in exc.errors:
-                print(f"  {error.summary()}", file=sys.stderr)
-            return 1
-        text += "\n\n" + fig4_params.format_beta_sweep(points)
-        payload = {"fig4": result, "extreme_beta_sweep": points}
-        extra = _failure_report(runner)
-        failures = "\n".join(part for part in (failures, extra) if part)
-        telemetries.append(runner.last_stats.telemetry)
-
-    if failures:
-        text += "\n\n" + failures
-    status = _finish(args, payload, text)
-    _write_observability(args, telemetries)
-    return 1 if failures else status
-
-
-def _parse_variant_mix(items: Optional[List[str]]) -> Any:
-    """Parse ``NAME=WEIGHT`` pairs (bare ``NAME`` means weight 1)."""
-    if not items:
-        return None
-    mix = []
-    for item in items:
-        name, sep, weight = item.partition("=")
-        mix.append((name, float(weight) if sep else 1.0))
-    return tuple(mix)
-
-
-def _scenario_from(args: argparse.Namespace) -> ScenarioSpec:
-    """Build the scenario: a saved spec file, or the inline flag surface.
-
-    A ``--spec`` file is taken verbatim except that a non-zero ``--seed``
-    re-seeds it (seed 0 — the flag default — keeps the file's own seed).
+    The other commands are then bare entries (all of them, when
+    ``command`` is not a command at all), enough for the usage line,
+    ``--help`` and the ``invalid choice`` message to name every one.
     """
-    if args.spec:
-        scenario = ScenarioSpec.load(args.spec)
-        if args.seed:
-            scenario = scenario.with_seed(args.seed)
-        return scenario
-    if args.topology == "fat-tree":
-        topology: Any = FatTreeSpec(
-            k=args.fat_k,
-            hosts_per_edge=args.hosts_per_edge,
-            oversubscription=args.oversubscription,
-            seed=args.seed,
-        )
-    elif args.topology == "wan-mesh":
-        topology = WanMeshSpec(
-            sites=args.sites,
-            degree=args.site_degree,
-            hosts_per_site=args.hosts_per_site,
-            seed=args.seed,
-        )
-    elif args.topology == "dumbbell":
-        topology = DumbbellSpec(num_pairs=args.pairs, seed=args.seed)
-    elif args.topology == "parking-lot":
-        topology = ParkingLotSpec(seed=args.seed)
-    else:
-        topology = MultipathMeshSpec(seed=args.seed)
-    workload = WorkloadSpec(
-        arrival="poisson",
-        arrival_rate=args.arrival_rate,
-        max_flows=args.max_flows,
-        size=args.size_dist,
-        mean_size_segments=args.mean_size,
-        pareto_shape=args.pareto_shape,
-        variant_mix=_parse_variant_mix(args.variant_mix) or (("tcp-pr", 1.0),),
-    )
-    return ScenarioSpec(
-        topology=topology,
-        workload=workload,
-        duration=args.duration,
-        seed=args.seed,
-        name=args.name,
-    )
-
-
-def _cmd_scale(args: argparse.Namespace) -> int:
-    """Run one declarative scenario sharded across the worker pool."""
-    scenario = _scenario_from(args)
-    if args.spec_out:
-        path = scenario.save(args.spec_out)
-        print(f"[scenario spec written to {path}]")
-    shards = args.shards if args.shards is not None else max(args.jobs, 1)
-    plan = ShardPlan(
-        scenario=scenario,
-        num_shards=shards,
-        stream_path=args.metrics_out,
-        reap_interval=args.reap_interval,
-    )
-    # Cached shard cells return their summary without re-writing the
-    # per-flow stream, so a streamed run must execute every shard.
-    cache = _cache_from(args)
-    if args.metrics_out and cache is not None:
-        cache = None
-        print("[cache disabled: --metrics-out streams per-flow records]")
-    runner = ParallelRunner(
-        jobs=args.jobs,
-        cache=cache,
-        timeout=args.cell_timeout,
-        retries=args.retries,
-        backoff=args.retry_backoff,
-        keep_going=args.keep_going,
-        collect_metrics=False,
-        collect_trace=bool(args.trace_out),
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-    )
-    try:
-        report = run_scale(plan, runner=runner)
-    except SweepError as exc:
-        print("sweep failed (scale):", file=sys.stderr)
-        for error in exc.errors:
-            print(f"  {error.summary()}", file=sys.stderr)
-        return 1
-    text = format_scale(report)
-    failures = _failure_report(runner)
-    if failures:
-        text += "\n\n" + failures
-    status = _finish(args, report.to_jsonable(), text)
-    if args.metrics_out:
-        print(f"[flow records streamed to {args.metrics_out}]")
-    if args.trace_out:
-        telemetry = runner.last_stats.telemetry
-        records = list(telemetry.trace_records()) if telemetry else []
-        path = write_jsonl(records, args.trace_out, command=args.command)
-        print(f"[trace written to {path}]")
-    return 1 if failures else status
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    duration = args.duration
-    if duration is None:
-        duration = 30.0 if args.paper_scale else 15.0
-    cells = [
-        SweepCell(
-            key=variant,
-            func=fig6_multipath.CELL_FUNC,
-            params={
-                "protocol": variant,
-                "epsilon": args.epsilon,
-                "link_delay": args.delay_ms * MS,
-                "duration": duration,
-            },
-            seed=args.seed,
-        )
-        for variant in args.variants
-    ]
-    runner = _runner_from(args)
-    try:
-        values = runner.run_cells(cells)
-    except SweepError as exc:
-        print("comparison failed:", file=sys.stderr)
-        for error in exc.errors:
-            print(f"  {error.summary()}", file=sys.stderr)
-        return 1
-    results = {
-        variant: value
-        for variant, value in values.items()
-        if not isinstance(value, CellError)
-    }
-    text = (
-        f"Throughput over the Figure 5 mesh (eps={args.epsilon:g}, "
-        f"{args.delay_ms} ms links, {duration:.0f} s):\n\n"
-        + bar_chart(results, unit=" Mbps")
-    )
-    failures = _failure_report(runner)
-    if failures:
-        text += "\n\n" + failures
-    payload = {
-        "epsilon": args.epsilon,
-        "delay_ms": args.delay_ms,
-        "duration": duration,
-        "throughput_mbps": results,
-    }
-    status = _finish(args, payload, text)
-    _write_observability(args, [runner.last_stats.telemetry])
-    return 1 if failures else status
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Run the project lint pass (see :mod:`repro.lint`).
-
-    Exit codes: 0 clean, 1 findings, 2 internal analyzer error — CI can
-    tell "the tree is dirty" from "the linter itself broke".
-    """
-    import json as _json
-
-    from repro.lint import DEEP_RULES, RULES, run_analysis, to_sarif
-    from repro.lint.deep import DEFAULT_CACHE_DIR
-
-    if args.list_rules:
-        catalog = [(r.code, r.slug, r.summary) for r in RULES]
-        catalog.extend((r.code, r.slug, r.summary) for r in DEEP_RULES)
-        width = max(len(slug) for _code, slug, _summary in catalog)
-        for code, slug, summary in catalog:
-            print(f"{code}  {slug:<{width}}  {summary}")
-        return 0
-    select = [
-        prefix
-        for chunk in (args.select or [])
-        for prefix in chunk.split(",")
-        if prefix.strip()
-    ]
-    result = run_analysis(
-        args.paths,
-        deep=args.deep,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir or DEFAULT_CACHE_DIR,
-        jobs=args.jobs,
-        select=select or None,
-    )
-    findings = result.findings
-    fmt = "json" if args.lint_json else args.lint_format
-    if fmt == "json":
-        text = _json.dumps([finding.to_record() for finding in findings])
-    elif fmt == "sarif":
-        text = _json.dumps(to_sarif(findings), indent=2, sort_keys=True)
-    else:
-        lines = [finding.format() for finding in findings]
-        noun = "finding" if len(findings) == 1 else "findings"
-        lines.append(f"{len(findings)} {noun}")
-        text = "\n".join(lines)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-        print(f"[lint report written to {args.output}]")
-    else:
-        print(text)
-    if args.stats:
-        print(
-            "lint-stats: " + _json.dumps(result.stats.to_record()),
-            file=sys.stderr,
-        )
-    for error in result.errors:
-        print(f"lint internal error: {error}", file=sys.stderr)
-    if result.errors:
-        return 2
-    return 1 if findings else 0
-
-
-def _cmd_obs(args: argparse.Namespace) -> int:
-    """Inspect or convert an existing ``repro.obs/v1`` record stream."""
-    # Inspection should survive a corrupt mid-file line (a shard worker
-    # killed mid-append under a concurrent stream); the skipped count is
-    # reported as a RuntimeWarning.
-    records = read_jsonl(args.file, on_invalid="skip")
-    if args.obs_command == "summary":
-        print(summarize_records(records))
-        return 0
-    output = args.output or str(Path(args.file).with_suffix(".csv"))
-    path = write_csv(records, output)
-    print(f"[csv written to {path}]")
-    return 0
-
-
-def _cmd_trace_analyze(args: argparse.Namespace) -> int:
-    """Pcap-style reordering analytics over a ``--trace-out`` stream."""
-    stream = TraceStream.from_jsonl(args.file)
-    report = analyze_stream(stream)
-    if args.flow is not None:
-        from repro.traces import FlowKey
-
-        key = FlowKey(cell=args.cell, flow_id=args.flow)
-        if key not in report.flows:
-            known = ", ".join(str(k) for k in sorted(report.flows)) or "none"
-            print(
-                f"flow {key} not in {args.file} (flows: {known})",
-                file=sys.stderr,
-            )
-            return 1
-        report.flows = {key: report.flows[key]}
-    return _finish(args, report.to_jsonable(), format_report(report))
-
-
-def _load_profile(args: argparse.Namespace) -> ReorderProfile:
-    """A profile from FILE: saved profile JSON, or distilled from a trace."""
-    records = read_jsonl(args.file)
-    if len(records) == 1 and records[0].get("record") == "reorder_profile":
-        return ReorderProfile.from_record(records[0])
-    return distill_profile(
-        TraceStream(records),
-        flow_id=args.flow,
-        cell=args.cell,
-        name=str(args.file),
-    )
-
-
-def _cmd_trace_replay(args: argparse.Namespace) -> int:
-    """Replay a trace (or saved profile) as a simulator scenario."""
-    try:
-        profile = _load_profile(args)
-    except ValueError as exc:
-        print(f"cannot build a replay profile: {exc}", file=sys.stderr)
-        return 1
-    print(profile.summary())
-    if args.profile_out:
-        path = profile.save(args.profile_out)
-        print(f"[profile written to {path}]")
-    if args.variant:
-        goodput = replay_flow_workload(
-            profile,
-            variant=args.variant,
-            duration=args.duration,
-            seed=args.seed,
-        )
-        text = (
-            f"closed-loop replay: {args.variant} over the profile link for "
-            f"{args.duration:g} s -> {goodput:.2f} Mbps goodput"
-        )
-        payload: Any = {
-            "mode": "closed-loop",
-            "variant": args.variant,
-            "duration": args.duration,
-            "seed": args.seed,
-            "goodput_mbps": goodput,
-            "profile": profile.to_record(),
-        }
-        return _finish(args, payload, text)
-    result = replay_profile(profile, seed=args.seed)
-    extent = result.report.extent_summary()
-    text = (
-        f"open-loop replay (seed {args.seed}): injected {result.injected}, "
-        f"delivered {result.delivered}, dropped {result.dropped}\n"
-        f"reordered {result.report.reordered} "
-        f"({result.reorder_ratio:.2%}), extent mean={extent['mean']:.2f} "
-        f"max={extent['max']:.0f}"
-    )
-    payload = {
-        "mode": "open-loop",
-        "seed": args.seed,
-        "injected": result.injected,
-        "delivered": result.delivered,
-        "dropped": result.dropped,
-        "reorder_ratio": result.reorder_ratio,
-        "reorder_density": result.reorder_density,
-        "extent": extent,
-        "profile": profile.to_record(),
-    }
-    return _finish(args, payload, text)
-
-
-def _cmd_trace_convert(args: argparse.Namespace) -> int:
-    """Import an external capture CSV into the ``repro.obs/v1`` schema."""
-    output = args.output or str(Path(args.file).with_suffix(".jsonl"))
-    path = convert_capture(args.file, output, command="trace convert")
-    print(f"[trace written to {path}]")
-    return 0
-
-
-def _cmd_ckpt_inspect(args: argparse.Namespace) -> int:
-    """Describe a ``repro.ckpt/v1`` file without unpickling its graph."""
-    from repro.checkpoint import CheckpointError, inspect_checkpoint
-
-    try:
-        info = inspect_checkpoint(args.file)
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(info, indent=2, sort_keys=True))
-    return 0
-
-
-def _flatten_bench(value: Any, prefix: str = "") -> List[tuple]:
-    """Flatten one BENCH_*.json payload into ``(dotted.path, scalar)`` rows.
-
-    The committed benchmark files are heterogeneous (each subsystem
-    records its own headline numbers), so the report is schema-agnostic:
-    every numeric or string leaf becomes a row.  Lists of dicts — the
-    common ``points: [{"mode": ..., ...}]`` idiom — are keyed by their
-    ``mode`` (or ``segments``) field when present, else by index.
-    """
-    rows: List[tuple] = []
-    if isinstance(value, dict):
-        for key, item in value.items():
-            path = f"{prefix}.{key}" if prefix else str(key)
-            rows.extend(_flatten_bench(item, path))
-    elif isinstance(value, list):
-        for index, item in enumerate(value):
-            label = str(index)
-            if isinstance(item, dict):
-                tag = item.get("mode", item.get("segments"))
-                if tag is not None:
-                    label = str(tag)
-            rows.extend(_flatten_bench(item, f"{prefix}[{label}]"))
-    elif isinstance(value, bool) or value is None:
-        pass  # flags and nulls carry no trajectory signal
-    elif isinstance(value, (int, float, str)):
-        rows.append((prefix, value))
-    return rows
-
-
-def _format_bench_value(value: Any) -> str:
-    if isinstance(value, float):
-        return f"{value:g}"
-    text = str(value)
-    if len(text) > 72:  # free-text provenance notes; --json keeps them whole
-        return text[:69] + "..."
-    return text
-
-
-def _cmd_bench_report(args: argparse.Namespace) -> int:
-    """Merge ``benchmarks/results/BENCH_*.json`` into one trajectory table."""
-    results_dir = Path(args.dir)
-    files = sorted(results_dir.glob("BENCH_*.json"))
-    if not files:
-        where = results_dir if results_dir.is_dir() else f"{results_dir} (no such directory)"
-        print(
-            f"no BENCH_*.json found under {where}; run the tier-2 "
-            "benchmarks (pytest -m 'bench_smoke or bench_scale') or pass "
-            "--dir pointing at committed results",
-            file=sys.stderr,
-        )
-        return 1
-    report: Dict[str, Dict[str, Any]] = {}
-    for path in files:
-        name = path.stem[len("BENCH_"):]
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 1
-        report[name] = dict(_flatten_bench(data))
-    if args.bench_json:
-        text = json.dumps(report, indent=2, sort_keys=True)
-    else:
-        rows = [
-            (bench, metric, _format_bench_value(value))
-            for bench, metrics in report.items()
-            for metric, value in metrics.items()
-        ]
-        if not rows:
-            names = ", ".join(path.name for path in files)
-            print(
-                f"no reportable metrics in {names}; the files parsed but "
-                "hold no numeric or string leaves",
-                file=sys.stderr,
-            )
-            return 1
-        widths = [
-            max(len(header), *(len(row[col]) for row in rows))
-            for col, header in enumerate(("benchmark", "metric", "value"))
-        ]
-        lines = [
-            "| {} | {} | {} |".format(
-                "benchmark".ljust(widths[0]),
-                "metric".ljust(widths[1]),
-                "value".ljust(widths[2]),
-            ),
-            "| {} | {} | {} |".format(*("-" * w for w in widths)),
-        ]
-        lines.extend(
-            "| {} | {} | {} |".format(
-                bench.ljust(widths[0]), metric.ljust(widths[1]),
-                value.ljust(widths[2]),
-            )
-            for bench, metric, value in rows
-        )
-        text = "\n".join(lines)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-        print(f"[report written to {args.output}]")
-    else:
-        print(text)
-    return 0
-
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the TCP-PR paper's figures.",
@@ -895,348 +276,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # The shared flag groups.  argparse copies parent actions into each
     # child, so one definition site serves every subcommand.
-    execution = _execution_parent()
-    obs_flags = _obs_parent()
-    engine = _engine_parent()
-    common = [execution, obs_flags, engine]
-
-    variants = sub.add_parser(
-        "variants", help="list available TCP variants", parents=common
-    )
-    variants.set_defaults(func=_cmd_variants)
-
-    fig2 = sub.add_parser(
-        "fig2", help="Figure 2: fairness vs TCP-SACK", parents=common
-    )
-    fig2.add_argument("--topology", choices=["dumbbell", "parking-lot"],
-                      default="dumbbell")
-    fig2.add_argument("--flows", type=int, nargs="*", default=None,
-                      help="total flow counts to sweep")
-    fig2.add_argument("--duration", type=float, default=None,
-                      help="seconds of simulated time per cell")
-    fig2.add_argument("--window", type=float, default=None,
-                      help="measurement window (final seconds)")
-    fig2.set_defaults(func=_cmd_figure)
-
-    fig3 = sub.add_parser(
-        "fig3", help="Figure 3: CoV vs loss rate", parents=common
-    )
-    fig3.add_argument("--topology", choices=["dumbbell", "parking-lot"],
-                      default="dumbbell")
-    fig3.add_argument("--bandwidths", type=float, nargs="*", default=None,
-                      help="bottleneck bandwidths (Mbps) to sweep")
-    fig3.add_argument("--flows", type=int, default=None,
-                      help="total number of flows")
-    fig3.add_argument("--duration", type=float, default=None)
-    fig3.add_argument("--window", type=float, default=None)
-    fig3.set_defaults(func=_cmd_figure)
-
-    fig4 = sub.add_parser(
-        "fig4", help="Figure 4: alpha/beta sensitivity", parents=common
-    )
-    fig4.add_argument("--alphas", type=float, nargs="*", default=None,
-                      help="TCP-PR alpha values to sweep")
-    fig4.add_argument("--betas", type=float, nargs="*", default=None,
-                      help="TCP-PR beta values to sweep")
-    fig4.add_argument("--flows", type=int, default=None,
-                      help="total number of flows")
-    fig4.add_argument("--duration", type=float, default=None)
-    fig4.add_argument("--window", type=float, default=None)
-    fig4.add_argument("--extreme", action="store_true",
-                      help="also run the extreme-loss beta sweep")
-    fig4.set_defaults(func=_cmd_figure)
-
-    fig6 = sub.add_parser(
-        "fig6", help="Figure 6: multipath throughput", parents=common
-    )
-    fig6.add_argument("--delay-ms", type=float, default=10.0,
-                      help="per-link delay in milliseconds (paper: 10 or 60)")
-    fig6.add_argument("--epsilons", type=float, nargs="*", default=None)
-    fig6.add_argument("--protocols", nargs="*", default=None,
-                      help="subset of protocols to run")
-    fig6.add_argument("--duration", type=float, default=None)
-    fig6.set_defaults(func=_cmd_figure)
-
-    fig7 = sub.add_parser(
-        "fig7",
-        help="Figure 7: goodput under scheduled outages/blackouts",
-        parents=common,
-    )
-    fig7.add_argument("--delay-ms", type=float, default=10.0,
-                      help="per-link delay in milliseconds")
-    fig7.add_argument("--outages", type=float, nargs="*", default=None,
-                      help="outage durations (seconds) to sweep")
-    fig7.add_argument("--protocols", nargs="*", default=None,
-                      help="subset of protocols to run")
-    fig7.add_argument("--period", type=float, default=None,
-                      help="seconds between outages (default: 10)")
-    fig7.add_argument("--duration", type=float, default=None)
-    fig7.set_defaults(func=_cmd_figure)
-
-    scale = sub.add_parser(
-        "scale",
-        help="run a declarative scenario sharded across the worker pool",
-        parents=common,
-    )
-    scale.add_argument(
-        "--spec", metavar="PATH", default=None,
-        help="load a saved ScenarioSpec JSON instead of the inline flags "
-        "(a non-zero --seed re-seeds it)",
-    )
-    scale.add_argument(
-        "--topology",
-        choices=["fat-tree", "wan-mesh", "dumbbell", "parking-lot",
-                 "multipath-mesh"],
-        default="fat-tree",
-    )
-    scale.add_argument("--fat-k", type=int, default=4,
-                       help="fat-tree arity k (even; default: 4)")
-    scale.add_argument("--hosts-per-edge", type=int, default=2,
-                       help="hosts per fat-tree edge switch")
-    scale.add_argument("--oversubscription", type=float, default=1.0,
-                       help="fat-tree uplink oversubscription ratio")
-    scale.add_argument("--sites", type=int, default=8,
-                       help="WAN-mesh site count")
-    scale.add_argument("--site-degree", type=float, default=3.0,
-                       help="WAN-mesh mean backbone degree")
-    scale.add_argument("--hosts-per-site", type=int, default=1)
-    scale.add_argument("--pairs", type=int, default=2,
-                       help="dumbbell sender/receiver pairs")
-    scale.add_argument("--arrival-rate", type=float, default=50.0,
-                       help="Poisson flow arrivals per second")
-    scale.add_argument("--max-flows", type=int, default=None,
-                       help="hard cap on generated flows")
-    scale.add_argument("--size-dist", choices=list(SIZE_DISTRIBUTIONS),
-                       default="pareto")
-    scale.add_argument("--mean-size", type=float, default=100.0,
-                       help="mean flow size (segments)")
-    scale.add_argument("--pareto-shape", type=float, default=1.3)
-    scale.add_argument("--variant-mix", nargs="*", metavar="NAME[=WEIGHT]",
-                       default=None,
-                       help="TCP variant mix, e.g. tcp-pr=1 sack=1")
-    scale.add_argument("--duration", type=float, default=30.0,
-                       help="scenario horizon (simulated seconds)")
-    scale.add_argument("--shards", type=int, default=None,
-                       help="flow-group shards (default: max(--jobs, 1))")
-    scale.add_argument("--reap-interval", type=float, default=1.0,
-                       help="sim-time period of the in-shard flow reaper")
-    scale.add_argument("--name", default="scenario",
-                       help="scenario name recorded in specs and streams")
-    scale.add_argument("--spec-out", metavar="PATH", default=None,
-                       help="also save the resolved ScenarioSpec as JSON")
-    scale.set_defaults(func=_cmd_scale)
-
-    lint = sub.add_parser(
-        "lint",
-        help="run the project's determinism/hot-path/hygiene lint rules",
-        parents=[engine],
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        default=["src/repro"],
-        metavar="PATH",
-        help="files or directories to lint (default: src/repro)",
-    )
-    lint.add_argument(
-        "--deep",
-        action="store_true",
-        help="also run the whole-program passes (interprocedural "
-        "determinism taint REP11x, cross-artifact drift REP4xx)",
-    )
-    lint.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="parallel parse workers (default: min(cpu, 8); 1 = serial)",
-    )
-    lint.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not update the incremental analysis cache",
-    )
-    lint.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="PATH",
-        help="analysis cache location (default: .repro-cache/lint)",
-    )
-    lint.add_argument(
-        "--select",
-        action="append",
-        default=None,
-        metavar="PREFIX[,PREFIX...]",
-        help="only report findings whose code matches a prefix "
-        "(e.g. --select REP1 for the determinism family)",
-    )
-    lint.add_argument(
-        "--format",
-        dest="lint_format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format (default: text)",
-    )
-    lint.add_argument(
-        "--json",
-        dest="lint_json",
-        action="store_true",
-        help="alias for --format json",
-    )
-    lint.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="write the report to PATH instead of stdout",
-    )
-    lint.add_argument(
-        "--stats",
-        action="store_true",
-        help="print cache hit/miss statistics to stderr",
-    )
-    lint.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalog (shallow + deep) and exit",
-    )
-    lint.set_defaults(func=_cmd_lint)
-
-    obs = sub.add_parser(
-        "obs", help="inspect or convert a repro.obs/v1 record stream"
-    )
-    obs_sub = obs.add_subparsers(dest="obs_command", required=True)
-    obs_summary = obs_sub.add_parser(
-        "summary", help="print a human-readable digest of FILE",
-        parents=[engine],
-    )
-    obs_summary.add_argument("file", metavar="FILE", help="JSONL record stream")
-    obs_summary.set_defaults(func=_cmd_obs)
-    obs_convert = obs_sub.add_parser(
-        "convert", help="convert FILE (JSONL) to CSV", parents=[engine]
-    )
-    obs_convert.add_argument("file", metavar="FILE", help="JSONL record stream")
-    obs_convert.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        help="output CSV path (default: FILE with a .csv suffix)",
-    )
-    obs_convert.set_defaults(func=_cmd_obs)
-
-    ckpt = sub.add_parser(
-        "ckpt", help="inspect simulator checkpoint files (repro.ckpt/v1)"
-    )
-    ckpt_sub = ckpt.add_subparsers(dest="ckpt_command", required=True)
-    ckpt_inspect = ckpt_sub.add_parser(
-        "inspect",
-        help="print a checkpoint's metadata and section sizes as JSON "
-        "(reads headers only; never unpickles the simulation graph)",
-        parents=[engine],
-    )
-    ckpt_inspect.add_argument(
-        "file", metavar="FILE", help="checkpoint file (*.ckpt)"
-    )
-    ckpt_inspect.set_defaults(func=_cmd_ckpt_inspect)
-
-    bench = sub.add_parser(
-        "bench", help="inspect committed benchmark results"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_report = bench_sub.add_parser(
-        "report",
-        help="merge benchmarks/results/BENCH_*.json into one trajectory "
-        "table (markdown by default)",
-        parents=[engine],
-    )
-    bench_report.add_argument(
-        "--dir",
-        default="benchmarks/results",
-        metavar="PATH",
-        help="directory holding BENCH_*.json (default: benchmarks/results)",
-    )
-    bench_report.add_argument(
-        "--json",
-        dest="bench_json",
-        action="store_true",
-        help="emit the merged report as JSON instead of markdown",
-    )
-    bench_report.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        help="write the report to PATH instead of stdout",
-    )
-    bench_report.set_defaults(func=_cmd_bench_report)
-
-    compare = sub.add_parser(
-        "compare",
-        help="compare chosen variants in one multipath scenario",
-        parents=common,
-    )
-    compare.add_argument("--variants", nargs="+", default=["tcp-pr", "sack"])
-    compare.add_argument("--epsilon", type=float, default=0.0)
-    compare.add_argument("--delay-ms", type=float, default=10.0)
-    compare.add_argument("--duration", type=float, default=None)
-    compare.set_defaults(func=_cmd_compare)
-
-    trace = sub.add_parser(
-        "trace",
-        help="analyze, replay, or import packet trace streams",
-    )
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    trace_analyze = trace_sub.add_parser(
-        "analyze",
-        help="pcap-style reordering analytics over a --trace-out stream",
-        parents=common,
-    )
-    trace_analyze.add_argument("file", metavar="FILE",
-                               help="repro.obs/v1 JSONL trace stream")
-    trace_analyze.add_argument("--flow", type=int, default=None,
-                               help="restrict the report to one flow id")
-    trace_analyze.add_argument("--cell", default="",
-                               help="sweep-cell tag of the flow (sweep traces)")
-    trace_analyze.set_defaults(func=_cmd_trace_analyze)
-    trace_replay = trace_sub.add_parser(
-        "replay",
-        help="distill FILE into a ReorderProfile and re-run it as a "
-        "simulator scenario",
-        parents=common,
-    )
-    trace_replay.add_argument("file", metavar="FILE",
-                              help="trace stream (JSONL) or saved profile "
-                              "(.profile.json)")
-    trace_replay.add_argument("--flow", type=int, default=None,
-                              help="flow id to distill from a trace stream")
-    trace_replay.add_argument("--cell", default="",
-                              help="sweep-cell tag of the flow")
-    trace_replay.add_argument("--variant", default=None,
-                              help="closed-loop mode: run this TCP variant "
-                              "over the profile link instead of the "
-                              "open-loop packet replay")
-    trace_replay.add_argument("--duration", type=float, default=30.0,
-                              help="closed-loop run length in seconds "
-                              "(default: 30)")
-    trace_replay.add_argument("--profile-out", metavar="PATH", default=None,
-                              help="also save the distilled profile as JSON")
-    trace_replay.set_defaults(func=_cmd_trace_replay)
-    trace_convert = trace_sub.add_parser(
-        "convert",
-        help="import an external capture CSV as a repro.obs/v1 trace",
-        parents=common,
-    )
-    trace_convert.add_argument("file", metavar="CSV",
-                               help="capture table (see docs/TRACES.md)")
-    trace_convert.add_argument("-o", "--output", default=None,
-                               help="output JSONL path (default: CSV with a "
-                               ".jsonl suffix)")
-    trace_convert.set_defaults(func=_cmd_trace_convert)
-
+    common = [_execution_parent(), _obs_parent(), _engine_parent()]
+    for name, help_line, module in COMMANDS:
+        if command in (None, name):
+            group = import_module(f"repro.commands.{module}")
+            group.add_parser(sub, name, help_line, common)
+        else:
+            sub.add_parser(name, help=help_line)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the command named first on argv pays for its imports.
+    parser = build_parser(*argv[:1])
     args = parser.parse_args(argv)
     if getattr(args, "engine", None) is not None:
         from repro.core import engine_select

@@ -1,16 +1,16 @@
 """The :class:`Network` container: nodes + links + topology helpers.
 
-Wraps a :class:`~repro.sim.Simulator` with named-node bookkeeping, duplex
-link creation, and conversion to a :mod:`networkx` graph for route
-computation by :mod:`repro.routing`.
+Wraps a :class:`~repro.sim.Simulator` with named-node bookkeeping and
+duplex link creation, and holds the one shortest-path routine of the
+tree: :func:`dijkstra` over :meth:`Network.adjacency`, used here by
+:func:`install_static_routes` and by :mod:`repro.routing`.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.net.delays import DelayModel
 from repro.net.link import Link
@@ -160,23 +160,17 @@ class Network:
     # ------------------------------------------------------------------
     # Graph views
     # ------------------------------------------------------------------
-    def graph(self, weight: str = "delay") -> nx.DiGraph:
-        """Directed graph of the topology with per-edge cost attributes.
+    def adjacency(self) -> Dict[str, Dict[str, Link]]:
+        """The topology as ``{src: {dst: Link}}``, a fresh copy per call.
 
-        Edge attributes: ``delay`` (propagation seconds), ``bandwidth``
-        (bits/second), and ``cost`` (= the attribute named by ``weight``).
+        Every node has an entry (isolated ones an empty one) and each
+        node's neighbours are in link-insertion order, which is what
+        :func:`dijkstra` breaks equal-cost ties by.
         """
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.nodes)
+        adjacency: Dict[str, Dict[str, Link]] = {name: {} for name in self.nodes}
         for (src, dst), link in self.links.items():
-            graph.add_edge(
-                src,
-                dst,
-                delay=link.delay,
-                bandwidth=link.bandwidth,
-                cost=getattr(link, weight) if hasattr(link, weight) else link.delay,
-            )
-        return graph
+            adjacency[src][dst] = link
+        return adjacency
 
     def link(self, src: str, dst: str) -> Link:
         try:
@@ -222,23 +216,57 @@ class Network:
         return f"<Network nodes={len(self.nodes)} links={len(self.links)}>"
 
 
-def install_static_routes(network: Network, weight: str = "delay") -> None:
-    """Populate every node's table with shortest-path next hops.
+def dijkstra(
+    adjacency: Mapping[str, Mapping[str, Link]],
+    src: str,
+    target: Optional[str] = None,
+) -> Dict[str, List[str]]:
+    """Delay-shortest paths from ``src``, keyed by node in settle order.
 
-    Uses Dijkstra over the ``weight`` edge attribute (propagation delay by
-    default, so equal-delay topologies degenerate to hop count).
+    With ``target`` the search stops as soon as that node is settled, so
+    ``target`` is in the result exactly when it is reachable.
+
+    Equal-cost ties decide which path a flow takes, so the order is part
+    of the contract (pinned by ``tests/golden/routing_tables.json``):
+    heap entries are ``(distance, push counter, node, path to it)``, a
+    node is re-queued only for a strictly smaller distance, settled
+    nodes are skipped, and neighbours are visited in link-insertion order.
     """
-    graph = network.graph()
-    for src_name in network.nodes:
-        try:
-            paths = nx.single_source_dijkstra_path(graph, src_name, weight=weight)
-        except nx.NodeNotFound:  # isolated node
+    if src not in adjacency:
+        raise SimulationError(f"unknown node {src!r}")
+    paths: Dict[str, List[str]] = {}
+    best = {src: 0.0}
+    fringe: List[Tuple[float, int, str, List[str]]] = [(0.0, 0, src, [src])]
+    pushes = 1
+    while fringe:
+        distance, _, name, path = heappop(fringe)
+        if name in paths:
             continue
-        node = network.nodes[src_name]
-        for dst_name, path in paths.items():
-            if dst_name == src_name or len(path) < 2:
+        paths[name] = path
+        if name == target:
+            break
+        for neighbour, link in adjacency[name].items():
+            if neighbour in paths:
                 continue
-            node.routes[dst_name] = path[1]
+            reached = distance + link.delay
+            if neighbour not in best or reached < best[neighbour]:
+                best[neighbour] = reached
+                heappush(fringe, (reached, pushes, neighbour, path + [neighbour]))
+                pushes += 1
+    return paths
+
+
+def install_static_routes(network: Network) -> None:
+    """Populate every node's table with delay-shortest next hops.
+
+    Propagation delay is the one cost (equal-delay topologies degenerate
+    to hop count); an isolated node ends with an empty table.
+    """
+    adjacency = network.adjacency()
+    for name, node in network.nodes.items():
+        for dst, path in dijkstra(adjacency, name).items():
+            if len(path) > 1:
+                node.routes[dst] = path[1]
 
 
 def iter_links(network: Network) -> Iterable[Link]:

@@ -26,9 +26,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
-from repro.net.network import Network
+from repro.net.link import Link
+from repro.net.network import Network, dijkstra
 from repro.net.packet import Packet
 from repro.sim.errors import SimulationError
 
@@ -69,32 +68,33 @@ def discover_paths(
     is what "all independent paths from source to destination" refers to
     in the paper.
     """
-    graph = network.graph()
+    adjacency = network.adjacency()
     paths: List[List[str]] = []
     costs: List[float] = []
     while True:
         if max_paths is not None and len(paths) >= max_paths:
             break
-        try:
-            path = nx.dijkstra_path(graph, src, dst, weight="delay")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+        path = dijkstra(adjacency, src, dst).get(dst)
+        if path is None:
             break
-        cost = _path_delay(graph, path)
+        cost = _path_delay(adjacency, path)
         paths.append(path)
         costs.append(cost)
         interior = path[1:-1]
         if not interior:  # direct link: remove the edge itself
-            graph.remove_edge(src, dst)
-        else:
-            graph.remove_nodes_from(interior)
+            del adjacency[src][dst]
+        for name in interior:
+            del adjacency[name]
+            for neighbours in adjacency.values():
+                neighbours.pop(name, None)
     if not paths:
         raise SimulationError(f"no path from {src!r} to {dst!r}")
     return PathSet(paths, costs)
 
 
-def _path_delay(graph: nx.DiGraph, path: Sequence[str]) -> float:
+def _path_delay(adjacency: Dict[str, Dict[str, Link]], path: Sequence[str]) -> float:
     return sum(
-        graph.edges[path[i], path[i + 1]]["delay"] for i in range(len(path) - 1)
+        adjacency[path[i]][path[i + 1]].delay for i in range(len(path) - 1)
     )
 
 

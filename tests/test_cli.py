@@ -1,6 +1,7 @@
 """Tests for the repro-experiments CLI."""
 
 import json
+import os
 
 import pytest
 
@@ -450,3 +451,46 @@ def test_scale_tiny_run(tmp_path, capsys):
     for line in out.splitlines():
         if line.startswith("Scenario"):
             assert line in rerun
+
+
+# ----------------------------------------------------------------------
+# The export seam the benchmark wraps (bench/tracing.py: obs.export)
+# ----------------------------------------------------------------------
+def test_every_export_site_goes_through_cli_write_jsonl(
+    tmp_path, capsys, monkeypatch
+):
+    import repro.cli
+
+    original, seen = repro.cli.write_jsonl, []
+
+    def recorder(records, path, **header_fields):
+        seen.append((header_fields["command"], os.path.basename(path)))
+        return original(records, path, **header_fields)
+
+    monkeypatch.setattr(repro.cli, "write_jsonl", recorder)
+    assert main([
+        "fig6", "--protocols", "tcp-pr", "--epsilons", "500",
+        "--duration", "2", "--no-cache",
+        "--metrics-out", str(tmp_path / "fig6-metrics.jsonl"),
+        "--trace-out", str(tmp_path / "fig6-trace.jsonl"),
+    ]) == 0
+    assert main([
+        "scale", "--topology", "dumbbell", "--pairs", "1",
+        "--arrival-rate", "3", "--size-dist", "fixed", "--mean-size", "10",
+        "--duration", "3", "--no-cache",
+        "--trace-out", str(tmp_path / "scale-trace.jsonl"),
+    ]) == 0
+    capsys.readouterr()
+    assert seen == [
+        ("fig6", "fig6-metrics.jsonl"),
+        ("fig6", "fig6-trace.jsonl"),
+        ("scale", "scale-trace.jsonl"),
+    ]
+    assert all((tmp_path / name).stat().st_size for _, name in seen)
+
+
+def test_parse_time_constants_match_the_packages_they_shadow():
+    import repro.cli
+    import repro.exec
+
+    assert repro.cli.DEFAULT_CACHE_DIR == repro.exec.DEFAULT_CACHE_DIR

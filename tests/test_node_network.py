@@ -127,10 +127,10 @@ def test_duplex_rejects_shared_queue_instance():
 
 def test_graph_carries_link_attributes():
     net = _line_network()
-    graph = net.graph()
-    assert graph.number_of_edges() == 4
-    assert graph.edges["a", "b"]["delay"] == pytest.approx(0.001)
-    assert graph.edges["a", "b"]["bandwidth"] == pytest.approx(1e7)
+    adjacency = net.adjacency()
+    assert sum(len(neighbours) for neighbours in adjacency.values()) == 4
+    assert adjacency["a"]["b"].delay == pytest.approx(0.001)
+    assert adjacency["a"]["b"].bandwidth == pytest.approx(1e7)
 
 
 def test_install_static_routes_prefers_low_delay():

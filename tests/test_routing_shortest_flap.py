@@ -5,10 +5,12 @@ import pytest
 from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.routing.flap import RouteFlapper
+from repro.routing.multipath import discover_paths
 from repro.routing.shortest_path import (
     install_shortest_path_routes,
     shortest_path,
 )
+from repro.sim.errors import SimulationError
 
 
 def _diamond():
@@ -50,6 +52,39 @@ def test_routes_forward_correctly():
     net.run(until=1.0)
     assert len(arrivals) == 1
     assert arrivals[0].hops == 2  # took the short path
+
+
+# ----------------------------------------------------------------------
+# Failures are SimulationError: no foreign exception type leaves routing
+# ----------------------------------------------------------------------
+def test_shortest_path_unknown_node_is_a_simulation_error():
+    net = _diamond()
+    with pytest.raises(SimulationError, match="no path from 's' to 'nowhere'"):
+        shortest_path(net, "s", "nowhere")
+    with pytest.raises(SimulationError, match="unknown node 'nowhere'"):
+        shortest_path(net, "nowhere", "s")
+
+
+def test_shortest_path_disconnected_pair_is_a_simulation_error():
+    net = _diamond()
+    net.add_node("island")
+    with pytest.raises(SimulationError, match="no path from 's' to 'island'"):
+        shortest_path(net, "s", "island")
+
+
+def test_discover_paths_disconnected_pair_keeps_its_message():
+    net = _diamond()
+    net.add_node("island")
+    with pytest.raises(SimulationError, match="no path from 's' to 'island'"):
+        discover_paths(net, "s", "island")
+
+
+def test_isolated_node_gets_an_empty_table_and_no_error():
+    net = _diamond()
+    net.add_node("island")
+    install_shortest_path_routes(net)
+    assert net.node("island").routes == {}
+    assert all("island" not in node.routes for node in net.nodes.values())
 
 
 # ----------------------------------------------------------------------
