@@ -65,7 +65,7 @@ import argparse
 import sys
 from importlib import import_module
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 #: ``repro.exec.DEFAULT_CACHE_DIR``, spelled out because ``--cache-dir``
 #: is defined for every command and must not import the executor to
@@ -238,7 +238,7 @@ def _engine_parent() -> argparse.ArgumentParser:
 
 
 def write_jsonl(
-    records: Iterable[Dict[str, Any]], path: "str | Path", **header_fields: Any
+    records: Iterable[Any], path: "str | Path", **header_fields: Any
 ) -> Path:
     """The ``--metrics-out``/``--trace-out`` export of every command.
 

@@ -6,9 +6,12 @@ import argparse
 import sys
 from typing import Any, List, Optional
 
-from repro import cli
 from repro.cli import _finish
-from repro.commands.sweep import _cache_from, _failure_report
+from repro.commands.sweep import (
+    _cache_from,
+    _failure_report,
+    _write_observability,
+)
 from repro.exec import ParallelRunner, SweepError
 from repro.scenarios import (
     SIZE_DISTRIBUTIONS,
@@ -132,11 +135,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     status = _finish(args, report.to_jsonable(), text)
     if args.metrics_out:
         print(f"[flow records streamed to {args.metrics_out}]")
-    if args.trace_out:
-        telemetry = runner.last_stats.telemetry
-        records = list(telemetry.trace_records()) if telemetry else []
-        path = cli.write_jsonl(records, args.trace_out, command=args.command)
-        print(f"[trace written to {path}]")
+    _write_observability(args, [runner.last_stats.telemetry], metrics=False)
     return 1 if failures else status
 
 

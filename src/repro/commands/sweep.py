@@ -8,6 +8,7 @@ from typing import Any, List, Optional
 
 from repro import cli
 from repro.exec import ParallelRunner, ResultCache
+from repro.exec.telemetry import SweepTelemetry
 
 
 def _cache_from(args: argparse.Namespace) -> Optional[ResultCache]:
@@ -30,25 +31,32 @@ def _runner_from(args: argparse.Namespace) -> ParallelRunner:
     )
 
 
-def _write_observability(args: argparse.Namespace, telemetries: List[Any]) -> None:
-    """Serialize collected sweep telemetry to ``--metrics-out``/``--trace-out``."""
+def _write_observability(
+    args: argparse.Namespace, telemetries: List[Any], metrics: bool = True
+) -> None:
+    """Stream sweep telemetry to ``--metrics-out`` (unless ``scale``, whose
+    shards wrote it) and ``--trace-out``; note cells the cache served."""
     telemetries = [telemetry for telemetry in telemetries if telemetry is not None]
-    if args.metrics_out:
-        records = [
-            record
-            for telemetry in telemetries
-            for record in telemetry.metric_records()
-        ]
-        path = cli.write_jsonl(records, args.metrics_out, command=args.command)
-        print(f"[metrics written to {path}]")
+
+    def export(kind: str, target: str, stream: Any) -> None:
+        records = (
+            record for telemetry in telemetries for record in stream(telemetry)
+        )
+        path = cli.write_jsonl(records, target, command=args.command)
+        print(f"[{kind} written to {path}]")
+
+    metrics_out = args.metrics_out if metrics else None
+    if metrics_out:
+        export("metrics", metrics_out, SweepTelemetry.metric_records)
     if args.trace_out:
-        records = [
-            record
-            for telemetry in telemetries
-            for record in telemetry.trace_records()
-        ]
-        path = cli.write_jsonl(records, args.trace_out, command=args.command)
-        print(f"[trace written to {path}]")
+        export("trace", args.trace_out, SweepTelemetry.trace_lines)
+    cached = sum(telemetry.cached for telemetry in telemetries)
+    if cached and (metrics_out or args.trace_out):
+        total = sum(telemetry.total for telemetry in telemetries)
+        print(
+            f"[{cached} of {total} cells came from the cache and carry no "
+            f"metric/trace records; rerun with --no-cache to collect them]"
+        )
 
 
 def _failure_report(runner: ParallelRunner) -> str:

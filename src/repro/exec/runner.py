@@ -54,8 +54,10 @@ from repro.exec.telemetry import (
     SweepTelemetry,
     summaries_from_records,
 )
+from repro.net.packet import reset_uid_counter
 from repro.obs.export import key_to_str
 from repro.obs.instrument import Instrumentation, ambient
+from repro.obs.trace import TraceEvent
 from repro.sim.rng import derive_child_seed
 
 
@@ -125,17 +127,19 @@ _Payload = Tuple[
     bool,
     Optional[Tuple[str, float]],
 ]
+#: What a collecting cell observed: its metric and fault repro.obs/v1
+#: records as plain dicts, its packet events as the tracer's tuples.
+_Observed = Tuple[List[Dict[str, Any]], List[TraceEvent]]
 #: What comes back: (index, failure-or-None, value, attempts, wall_time,
-#: records) where failure is (error name, message, traceback, timed_out)
-#: and records holds the cell's repro.obs/v1 records — plain dicts so
-#: they pickle across the pool — or None when collection was off.
+#: observed) where failure is (error name, message, traceback,
+#: timed_out) and observed is None when collection was off.
 _Outcome = Tuple[
     int,
     Optional[Tuple[str, str, str, bool]],
     Any,
     int,
     float,
-    Optional[List[Dict[str, Any]]],
+    Optional[_Observed],
 ]
 
 
@@ -200,17 +204,6 @@ def _cell_checkpoint(checkpoint: Optional[Tuple[str, float]]):
         yield
 
 
-def _execute_payload(payload: Tuple[str, Dict[str, Any], int]) -> Any:
-    """Bare worker entry point: resolve the cell function and run it.
-
-    Kept for backward compatibility (and the no-failure-policy serial
-    path's tests); :func:`_execute_payload_guarded` is the hardened
-    equivalent.  Module-level so it pickles under every start method.
-    """
-    func_path, params, seed = payload
-    return resolve_func(func_path)(**params, seed=seed)
-
-
 def _execute_payload_guarded(payload: _Payload) -> _Outcome:
     """Run one cell with exception capture, timeout, and retries.
 
@@ -247,19 +240,22 @@ def _execute_payload_guarded(payload: _Payload) -> _Outcome:
             func = resolve_func(func_path)
             with _cell_checkpoint(checkpoint):
                 if collect:
+                    reset_uid_counter()  # a trace is the cell's, not the process's
                     instrumentation = Instrumentation(trace=collect_trace)
                     with ambient(instrumentation):
                         with _alarm(timeout):
                             value = func(**params, seed=attempt_seed)
-                    records: Optional[List[Dict[str, Any]]] = (
-                        instrumentation.to_records()
+                    observed: Optional[_Observed] = (
+                        instrumentation.registry.to_records()
+                        + instrumentation.fault_records(),
+                        instrumentation.trace_events(),
                     )
                 else:
                     with _alarm(timeout):
                         value = func(**params, seed=attempt_seed)
-                    records = None
+                    observed = None
             wall = time.perf_counter() - started
-            return index, None, value, attempt + 1, wall, records
+            return index, None, value, attempt + 1, wall, observed
         # lint: allow-broad-except(worker guard must capture every cell failure as CellError data, never crash the pool)
         except Exception as exc:
             timed_out = isinstance(exc, CellTimeout)
@@ -475,20 +471,18 @@ class ParallelRunner:
 
         errors: Dict[Any, CellError] = {}
         cell_stories: Dict[Any, CellTelemetry] = {}
-        collected: List[Dict[str, Any]] = []
+        # Gathered in the pool's completion order, emitted in cell order.
+        gathered: Dict[int, _Observed] = {}
         retried = 0
         timed_out = 0
         try:
-            for index, failure, value, attempts, wall, records in self._execute(
+            for index, failure, value, attempts, wall, observed in self._execute(
                 pending, checkpoints
             ):
                 cell = pending[index]
                 retried += attempts - 1
-                if records:
-                    tag = key_to_str(cell.key)
-                    for record in records:
-                        record["cell"] = tag
-                    collected.extend(records)
+                if observed is not None:
+                    gathered[index] = observed
                 error_text: Optional[str] = None
                 cell_timed_out = False
                 if failure is None:
@@ -522,12 +516,21 @@ class ParallelRunner:
                     timed_out=cell_timed_out,
                     error=error_text,
                     wall_time=wall,
-                    metrics=summaries_from_records(records) if records else {},
+                    metrics=summaries_from_records(observed[0]) if observed else {},
                 )
         finally:
             if journal is not None:
                 journal.close()
 
+        collected: List[Dict[str, Any]] = []
+        traces: List[Tuple[str, List[TraceEvent]]] = []
+        for index in sorted(gathered):
+            records, events = gathered[index]
+            tag = key_to_str(pending[index].key)
+            for record in records:
+                record["cell"] = tag
+            collected.extend(records)
+            traces.append((tag, events))
         error_list = [errors[cell.key] for cell in pending if cell.key in errors]
         elapsed = time.perf_counter() - started
         telemetry = SweepTelemetry(
@@ -546,6 +549,7 @@ class ParallelRunner:
                 for cell in cells
             ],
             collected=collected,
+            traces=traces,
             total=len(cells),
             cached=len(cells) - len(pending),
             executed=len(pending),

@@ -8,14 +8,20 @@ collection was active) the per-metric summaries its instrumentation
 gathered inside the worker.  The CLI's ``--metrics-out`` flag
 serializes all of this, plus the full metric records, as one
 ``repro.obs/v1`` stream.
+
+Packet events, the bulk of a traced sweep, are not held as records:
+:attr:`SweepTelemetry.traces` keeps the worker tracer's
+:class:`~repro.obs.trace.TraceEvent` tuples, rendered one at a time on
+export.  Every stream is in cell order, whatever completed first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.obs.export import key_to_str
+from repro.obs.export import key_to_str, trace_event_record, trace_line
+from repro.obs.trace import TraceEvent
 
 
 @dataclass(frozen=True)
@@ -63,8 +69,10 @@ class SweepTelemetry:
     Attributes:
         cells: Per-cell telemetry, in cell order.
         collected: Full ``repro.obs/v1`` records gathered inside the
-            workers (metric / trace / fault records, each tagged with
-            its ``cell`` key); empty unless collection was enabled.
+            workers (metric / fault records, each tagged with its
+            ``cell`` key); empty unless collection was enabled.
+        traces: ``(cell tag, packet events)`` per collecting cell: the
+            ``trace`` records :meth:`trace_records` yields, unrendered.
         total / cached / executed / failed / timed_out / retried /
         elapsed / jobs: The sweep-level counters, mirroring
             :class:`~repro.exec.runner.RunStats`.
@@ -72,6 +80,7 @@ class SweepTelemetry:
 
     cells: List[CellTelemetry] = field(default_factory=list)
     collected: List[Dict[str, Any]] = field(default_factory=list)
+    traces: List[Tuple[str, List[TraceEvent]]] = field(default_factory=list)
     total: int = 0
     cached: int = 0
     executed: int = 0
@@ -104,13 +113,22 @@ class SweepTelemetry:
         records.append(self.sweep_record())
         return records
 
-    def trace_records(self) -> List[Dict[str, Any]]:
-        """The ``--trace-out`` stream: packet and fault events (no header)."""
-        return [
-            record
-            for record in self.collected
-            if record.get("record") in ("trace", "fault")
-        ]
+    def trace_records(self) -> Iterator[Dict[str, Any]]:
+        """The ``--trace-out`` stream (no header), lazily: cell by cell,
+        a cell's packet events first and its fault records after."""
+        return self._trace_stream(trace_event_record)
+
+    def trace_lines(self) -> Iterator[Union[str, Dict[str, Any]]]:
+        """:meth:`trace_records` as :func:`~repro.obs.export.write_jsonl`
+        items: a packet event is its finished line, never a dict."""
+        return self._trace_stream(trace_line)
+
+    def _trace_stream(self, render: Callable[[TraceEvent, str], Any]) -> Iterator[Any]:
+        faults = [r for r in self.collected if r.get("record") == "fault"]
+        for tag, events in self.traces:
+            for event in events:
+                yield render(event, tag)
+            yield from (r for r in faults if r.get("cell") == tag)
 
     def cell(self, key: Any) -> Optional[CellTelemetry]:
         """The telemetry for one cell key, or None."""

@@ -41,16 +41,25 @@ from __future__ import annotations
 import csv
 import io
 import json
+from functools import lru_cache
+from itertools import chain, islice
+from math import isfinite
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from sys import intern
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import FaultRecord, PacketTracer, TraceEvent
+from repro.obs.trace import FaultRecord, TraceEvent
 
 #: The schema identifier written into every header record.
 SCHEMA = "repro.obs/v1"
 
 PathLike = Union[str, Path]
+
+#: One encoder for every line written here (``json.dumps`` builds one per
+#: call), and its text cached for a trace event's few-valued fields.
+_encode = json.JSONEncoder(default=str).encode
+_quoted = lru_cache(maxsize=4096)(_encode)
 
 
 def header_record(**extra: Any) -> Dict[str, Any]:
@@ -58,9 +67,9 @@ def header_record(**extra: Any) -> Dict[str, Any]:
     return {"record": "header", "schema": SCHEMA, **extra}
 
 
-def trace_event_record(event: TraceEvent) -> Dict[str, Any]:
-    """One :class:`TraceEvent` as a schema record."""
-    return {
+def trace_event_record(event: TraceEvent, cell: Optional[str] = None) -> Dict[str, Any]:
+    """One :class:`TraceEvent` as a schema record (``cell``-tagged if given)."""
+    record = {
         "record": "trace",
         "time": event.time,
         "kind": event.kind,
@@ -74,6 +83,28 @@ def trace_event_record(event: TraceEvent) -> Dict[str, Any]:
         "retransmit": event.retransmit,
         "path": event.path,
     }
+    if cell is not None:
+        record["cell"] = cell
+    return record
+
+
+def trace_line(event: TraceEvent, cell: Optional[str] = None) -> str:
+    """One :class:`TraceEvent` as its finished JSONL line (no newline):
+    byte for byte ``json.dumps`` of :func:`trace_event_record`, the
+    reference the tests pin it to, without building the dict."""
+    (time, kind, where, packet_uid, flow_id, flow_seq, packet_kind, seq, ack,
+     retransmit, path) = event
+    finite = time.__class__ is float and isfinite(time)
+    return (
+        f'{{"record": "trace", "time": {repr(time) if finite else _encode(time)}, '
+        f'"kind": {_quoted(kind)}, "where": {_quoted(where)}, '
+        f'"packet_uid": {packet_uid}, "flow_id": {flow_id}, '
+        f'"flow_seq": {flow_seq}, "packet_kind": {_quoted(packet_kind)}, '
+        f'"seq": {seq}, "ack": {ack}, '
+        f'"retransmit": {"true" if retransmit else "false"}, '
+        f'"path": {_quoted(path)}'
+        + ("}" if cell is None else f', "cell": {_quoted(cell)}}}')
+    )
 
 
 def trace_event_from_record(record: Dict[str, Any]) -> TraceEvent:
@@ -81,20 +112,22 @@ def trace_event_from_record(record: Dict[str, Any]) -> TraceEvent:
 
     Tolerates streams written before the ``flow_seq`` / ``retransmit`` /
     ``path`` fields existed (the schema is append-only) and external
-    captures converted by :mod:`repro.traces.adapter`.
+    captures converted by :mod:`repro.traces.adapter`.  The few-valued
+    strings are interned: a stream holds one ``"recv"``, not one per event.
     """
+    path = record.get("path")
     return TraceEvent(
-        time=float(record["time"]),
-        kind=str(record["kind"]),
-        where=str(record.get("where", "")),
-        packet_uid=int(record.get("packet_uid", -1)),
-        flow_id=int(record.get("flow_id", 0)),
-        flow_seq=int(record.get("flow_seq", 0)),
-        packet_kind=str(record.get("packet_kind", "data")),
-        seq=int(record.get("seq", -1)),
-        ack=int(record.get("ack", -1)),
-        retransmit=bool(record.get("retransmit", False)),
-        path=record.get("path"),
+        float(record["time"]),
+        intern(str(record["kind"])),
+        intern(str(record.get("where", ""))),
+        int(record.get("packet_uid", -1)),
+        int(record.get("flow_id", 0)),
+        int(record.get("flow_seq", 0)),
+        intern(str(record.get("packet_kind", "data"))),
+        int(record.get("seq", -1)),
+        int(record.get("ack", -1)),
+        bool(record.get("retransmit", False)),
+        intern(path) if path.__class__ is str else path,
     )
 
 
@@ -131,33 +164,34 @@ def registry_records(
     return records
 
 
-def tracer_records(tracer: PacketTracer) -> List[Dict[str, Any]]:
-    """A packet tracer's events as records."""
-    return [trace_event_record(event) for event in tracer.events]
-
-
 # ----------------------------------------------------------------------
 # JSONL
 # ----------------------------------------------------------------------
 def write_jsonl(
-    records: Iterable[Dict[str, Any]],
+    records: Iterable[Union[Dict[str, Any], str]],
     path: PathLike,
     header: bool = True,
     **header_fields: Any,
 ) -> Path:
     """Write records to ``path`` as JSON Lines; returns the path.
 
-    A header record is prepended unless ``header=False`` or the first
-    record already is one.
+    ``records`` is consumed once, as it is written, so a generator
+    streams; an item that is already a ``str`` is a finished line (see
+    :func:`trace_line`).  A header record is prepended unless
+    ``header=False`` or the first record already is one.
     """
     path = Path(path)
-    records = list(records)
-    if header and not (records and records[0].get("record") == "header"):
-        records.insert(0, header_record(**header_fields))
+    items = iter(records)
+    lead = list(islice(items, 1))
+    if header and not (
+        lead and isinstance(lead[0], dict) and lead[0].get("record") == "header"
+    ):
+        lead.insert(0, header_record(**header_fields))
     with path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, default=str))
-            handle.write("\n")
+        handle.writelines(
+            (item if item.__class__ is str else _encode(item)) + "\n"
+            for item in chain(lead, items)
+        )
     return path
 
 
@@ -292,6 +326,40 @@ def _is_json_line(line: bytes) -> bool:
     return True
 
 
+def iter_jsonl(
+    path: PathLike, on_invalid: str = "raise"
+) -> Iterator[Dict[str, Any]]:
+    """The generator under :func:`read_jsonl` (same ``on_invalid``
+    contract; the skip warning comes once the file is exhausted)."""
+    if on_invalid not in ("raise", "skip"):
+        raise ValueError(
+            f"on_invalid must be 'raise' or 'skip', got {on_invalid!r}"
+        )
+    skipped = 0
+    with Path(path).open("r", encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                if on_invalid == "raise":
+                    raise
+                skipped += 1
+                continue
+            yield record
+    if skipped:
+        import warnings
+
+        warnings.warn(
+            f"{path}: skipped {skipped} unparseable JSONL line(s) "
+            f"(torn concurrent append?)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def read_jsonl(
     path: PathLike, on_invalid: str = "raise"
 ) -> List[Dict[str, Any]]:
@@ -306,33 +374,7 @@ def read_jsonl(
     next append fuses into one corrupt mid-file line (tail recovery only
     repairs the *last* line; see :class:`JsonlAppender`).
     """
-    if on_invalid not in ("raise", "skip"):
-        raise ValueError(
-            f"on_invalid must be 'raise' or 'skip', got {on_invalid!r}"
-        )
-    records: List[Dict[str, Any]] = []
-    skipped = 0
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                if on_invalid == "raise":
-                    raise
-                skipped += 1
-    if skipped:
-        import warnings
-
-        warnings.warn(
-            f"{path}: skipped {skipped} unparseable JSONL line(s) "
-            f"(torn concurrent append?)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return records
+    return list(iter_jsonl(path, on_invalid))
 
 
 # ----------------------------------------------------------------------

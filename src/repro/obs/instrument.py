@@ -27,8 +27,8 @@ activated in their worker process without threading a parameter through
 every experiment signature: :class:`~repro.exec.runner.ParallelRunner`
 sets an ambient :class:`Instrumentation` around each cell when metric
 collection is requested, the cell function calls ``maybe_observe(net)``,
-and the collected records travel back over the process boundary as
-plain dicts.
+and what was collected travels back over the process boundary: records
+as plain dicts, packet events as the tracer's tuples.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.obs.monitors import (
     QueueMonitor,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import PacketTracer
+from repro.obs.trace import PacketTracer, TraceEvent
 
 if TYPE_CHECKING:
     from repro.net.link import Link
@@ -361,19 +361,26 @@ class Instrumentation:
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
+    def trace_events(self) -> List[TraceEvent]:
+        """The shared tracer's event list (empty when nothing was traced)."""
+        return self._tracer.events if self._tracer is not None else []
+
+    def fault_records(self) -> List[Dict[str, Any]]:
+        """The fault timeline as ``repro.obs/v1`` ``fault`` records."""
+        from repro.obs.export import fault_record
+
+        if self._fault_monitor is None:
+            return []
+        return [fault_record(record) for record in self._fault_monitor.records]
+
     def to_records(self) -> List[Dict[str, Any]]:
-        """Everything observed, as ``repro.obs/v1`` records (no header)."""
-        from repro.obs.export import fault_record, trace_event_record
+        """Everything observed, as ``repro.obs/v1`` records (no header):
+        one dict per packet event, the reference form exports avoid."""
+        from repro.obs.export import trace_event_record
 
         records = self.registry.to_records()
-        if self._tracer is not None:
-            records.extend(
-                trace_event_record(event) for event in self._tracer.events
-            )
-        if self._fault_monitor is not None:
-            records.extend(
-                fault_record(record) for record in self._fault_monitor.records
-            )
+        records.extend(trace_event_record(event) for event in self.trace_events())
+        records.extend(self.fault_records())
         return records
 
     def summaries(self) -> Dict[str, Dict[str, Any]]:

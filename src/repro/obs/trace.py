@@ -11,12 +11,16 @@ Tracing every packet of a large experiment is intentionally opt-in, via
 :meth:`repro.obs.instrument.Instrumentation.attach` (``trace=True``) or
 the ``--trace-out`` CLI flag; the recorded stream is exported as
 ``repro.obs/v1`` JSONL and analyzed with ``repro trace analyze``.
+
+An event stays a :class:`TraceEvent` tuple from the tracer until
+:func:`repro.obs.export.trace_line` formats its JSONL line; no per-packet
+dict is built on the way ("What tracing costs", ``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Set
 
 from repro.net.packet import Packet
 
@@ -25,8 +29,7 @@ if TYPE_CHECKING:
     from repro.net.node import Node
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One recorded packet event.
 
     Attributes:
@@ -147,17 +150,9 @@ class PacketTracer:
         route = packet.route
         self.events.append(
             TraceEvent(
-                time=time,
-                kind=kind,
-                where=where,
-                packet_uid=packet.uid,
-                flow_id=flow_id,
-                flow_seq=flow_seq,
-                packet_kind=packet.kind,
-                seq=packet.seq,
-                ack=packet.ack,
-                retransmit=packet.retransmit,
-                path=">".join(route) if route is not None else None,
+                time, kind, where, packet.uid, flow_id, flow_seq,
+                packet.kind, packet.seq, packet.ack, packet.retransmit,
+                ">".join(route) if route is not None else None,
             )
         )
 

@@ -1,10 +1,15 @@
 """Parsing ``repro.obs/v1`` trace streams into per-flow event views.
 
-A :class:`TraceStream` is the lossless in-memory form of a trace file:
-it keeps every record verbatim (so ``to_records``/``write`` round-trip
-bit-identically — the golden-schema guarantee tests pin) and exposes
+A :class:`TraceStream` is the lossless form of a trace file: re-emitting
+it (``to_records``/``write``) reproduces every record verbatim,
+bit-identically — the golden-schema guarantee tests pin — and it exposes
 typed per-flow views (:class:`FlowTrace`) with events ordered by the
 stable ``(flow_seq, time)`` join key rather than by emission order.
+
+Built from records, it keeps the list it was given.  Parsed from a file
+(:meth:`TraceStream.from_jsonl`), it keeps the parsed events and the
+path, not the record dicts: ``records``, ``to_records()`` and
+``write()`` read the file again, so it must still be there, unchanged.
 
 Sweep traces interleave cells: every record collected inside a sweep
 cell carries a ``cell`` tag, so flows are keyed by :class:`FlowKey` —
@@ -15,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from sys import intern
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.obs.export import (
-    read_jsonl,
+    iter_jsonl,
     trace_event_from_record,
     trace_event_record,
     write_jsonl,
@@ -75,6 +81,16 @@ class FlowTrace:
             events.sort(key=lambda event: (event.flow_seq, event.time))
 
 
+class _JsonlFile:
+    """A JSONL file as a re-iterable of records: each pass re-reads it."""
+
+    def __init__(self, path: PathLike) -> None:
+        self.path = Path(path)
+
+    def __iter__(self) -> Iterator[Dict[str, Any]]:
+        return iter_jsonl(self.path)
+
+
 class TraceStream:
     """A parsed ``repro.obs/v1`` record stream with per-flow trace views.
 
@@ -84,16 +100,20 @@ class TraceStream:
     """
 
     def __init__(self, records: Iterable[Dict[str, Any]]) -> None:
-        #: Every record, verbatim, in stream order.
-        self.records: List[Dict[str, Any]] = list(records)
+        # Every record, verbatim: a list, or the file to re-read for them.
+        self._source: Union[List[Dict[str, Any]], _JsonlFile] = (
+            records if isinstance(records, _JsonlFile) else list(records)
+        )
+        self._count = 0
         #: Parsed (event, cell) pairs for the ``trace`` records.
         self.events: List[Tuple[TraceEvent, str]] = []
         #: Parsed fault records with their cell tags.
         self.faults: List[Tuple[FaultRecord, str]] = []
-        for record in self.records:
+        for record in self._source:
+            self._count += 1
             kind = record.get("record")
             if kind == "trace":
-                cell = str(record.get("cell", "") or "")
+                cell = intern(str(record.get("cell", "") or ""))
                 self.events.append((trace_event_from_record(record), cell))
             elif kind == "fault":
                 cell = str(record.get("cell", "") or "")
@@ -110,13 +130,19 @@ class TraceStream:
                 )
         self._flows: Optional[Dict[FlowKey, FlowTrace]] = None
 
+    @property
+    def records(self) -> List[Dict[str, Any]]:
+        """Every record, verbatim, in stream order."""
+        source = self._source
+        return list(source) if isinstance(source, _JsonlFile) else source
+
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
     def from_jsonl(cls, path: PathLike) -> "TraceStream":
-        """Parse a ``repro.obs/v1`` JSONL file."""
-        return cls(read_jsonl(path))
+        """Parse a ``repro.obs/v1`` JSONL file, one record at a time."""
+        return cls(_JsonlFile(path))
 
     @classmethod
     def from_tracer(cls, tracer: PacketTracer) -> "TraceStream":
@@ -158,17 +184,17 @@ class TraceStream:
     # ------------------------------------------------------------------
     def to_records(self) -> List[Dict[str, Any]]:
         """The stream's records, verbatim (lossless round-trip)."""
-        return list(self.records)
+        return list(self._source)
 
     def write(self, path: PathLike, **header_fields: Any) -> Path:
         """Re-emit the stream as JSONL (bit-identical for parsed files)."""
         return write_jsonl(self.records, path, **header_fields)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._count
 
     def __repr__(self) -> str:
         return (
-            f"<TraceStream records={len(self.records)} "
+            f"<TraceStream records={len(self)} "
             f"events={len(self.events)} flows={len(self.flows())}>"
         )

@@ -267,6 +267,33 @@ def test_fig7_trace_out_carries_fault_timeline(tmp_path, capsys):
     assert all("cell" in r for r in faults)
 
 
+def test_exports_own_up_to_cells_served_from_the_cache(tmp_path, capsys):
+    """A warm cache runs nothing, so the trace is header-only; the CLI
+    says so instead of only printing "[trace written ...]"."""
+    trace_path = tmp_path / "t.jsonl"
+    argv = [
+        "fig6", "--protocols", "tcp-pr", "--epsilons", "0", "500",
+        "--duration", "1", "--cache-dir", str(tmp_path / "cache"),
+        "--trace-out", str(trace_path),
+    ]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    assert "from the cache" not in cold
+    assert len(trace_path.read_text().splitlines()) > 1
+    assert main(argv) == 0
+    warm = capsys.readouterr().out
+    assert len(trace_path.read_text().splitlines()) == 1
+    notes = [line for line in warm.splitlines() if "from the cache" in line]
+    assert notes == [
+        "[2 of 2 cells came from the cache and carry no metric/trace "
+        "records; rerun with --no-cache to collect them]"
+    ]
+    assert warm.index(f"[trace written to {trace_path}]") < warm.index(notes[0])
+    # --metrics-out alone gets the same line, once.
+    assert main([*argv[:-2], "--metrics-out", str(tmp_path / "m.jsonl")]) == 0
+    assert capsys.readouterr().out.count("from the cache") == 1
+
+
 def test_metrics_collection_does_not_change_the_figure(tmp_path, capsys):
     assert main(_fig7_tiny("--no-cache")) == 0
     plain = capsys.readouterr().out
@@ -359,6 +386,30 @@ def test_trace_analyze_renders_a_report(fig6_trace, capsys):
     out = capsys.readouterr().out
     assert "flow=1" in out
     assert "reordered=" in out
+
+
+def test_trace_bytes_and_analysis_match_the_committed_golden(tmp_path, capsys):
+    """tests/golden/trace_cell.json pins one traced cell end to end: the
+    --trace-out file byte for byte (sha256) and what `trace analyze`
+    prints for it, as the parent of the tuple/streaming rewrite wrote
+    them."""
+    import hashlib
+    from pathlib import Path
+
+    from repro.core import engine_select
+
+    golden = json.loads(
+        (Path(__file__).parent / "golden" / "trace_cell.json").read_text()
+    )
+    trace_path = tmp_path / "T.jsonl"
+    with engine_select.use_engine("pure"):  # --engine sticks; undo it
+        assert main([*golden["argv"], "--trace-out", str(trace_path)]) == 0
+        capsys.readouterr()
+        assert main(["trace", "analyze", str(trace_path)]) == 0
+    data = trace_path.read_bytes()
+    assert data.count(b"\n") == golden["trace_lines"]
+    assert hashlib.sha256(data).hexdigest() == golden["trace_sha256"]
+    assert capsys.readouterr().out == golden["analysis"]
 
 
 def test_trace_analyze_json_dump(fig6_trace, tmp_path, capsys):

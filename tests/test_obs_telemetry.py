@@ -1,6 +1,8 @@
 """Tests for sweep telemetry (repro.exec.telemetry): per-cell execution
 stories plus worker-side metric collection across the process boundary."""
 
+import json
+
 import pytest
 
 from repro.exec.cache import ResultCache
@@ -11,7 +13,9 @@ from repro.exec.telemetry import (
     SweepTelemetry,
     summaries_from_records,
 )
-from repro.exec.testing import BOOM_CELL, METRIC_CELL
+from repro.exec.testing import BOOM_CELL, CHECKPOINT_CELL, METRIC_CELL
+from repro.obs.export import trace_event_record, trace_line
+from repro.obs.trace import TraceEvent
 
 from test_exec_runner import _tiny_fig6_spec
 
@@ -40,6 +44,40 @@ def test_collected_metrics_are_tagged_with_their_cell(jobs):
     assert by_cell["a"]["name"] == "test.cell_value"
     assert by_cell["a"]["value"] == 2.0
     assert by_cell["b"]["value"] == 5.0
+
+
+def test_collected_streams_do_not_depend_on_jobs_or_completion_order():
+    """The first cell simulates ten times longer, so at jobs=2 it
+    completes last; every collected stream still lists it first, exactly
+    as jobs=1 does.  Packet uids restart with each collecting cell, so a
+    cell's trace is the same in-process after another cell as alone in a
+    fresh worker."""
+
+    def streams(jobs):
+        runner = ParallelRunner(jobs=jobs, collect_metrics=True, collect_trace=True)
+        runner.run_cells([
+            SweepCell(key=key, func=CHECKPOINT_CELL,
+                      params={"duration": duration}, seed=7)
+            for key, duration in (("long", 2.0), ("short", 0.2))
+        ])
+        telemetry = runner.last_stats.telemetry
+        volatile = ("wall_time", "elapsed", "jobs")
+        metrics = [
+            {k: v for k, v in record.items() if k not in volatile}
+            for record in telemetry.metric_records()
+        ]
+        return metrics, list(telemetry.trace_lines()), telemetry
+
+    (metrics, lines, telemetry), parallel = streams(1), streams(2)
+    assert (metrics, lines) == parallel[:2]
+    cells = [r["cell"] for r in metrics if r["record"] == "metric"]
+    assert cells == sorted(cells) and set(cells) == {"long", "short"}
+    assert [tag for tag, _ in telemetry.traces] == ["long", "short"]
+    assert all(events[0].packet_uid == 0 for _, events in telemetry.traces)
+    assert lines == [
+        json.dumps(record) for record in telemetry.trace_records()
+    ] and len(lines) > 100
+    assert not any(r["record"] == "trace" for r in telemetry.collected)
 
 
 def test_no_collection_means_no_records_and_empty_cell_metrics():
@@ -119,14 +157,19 @@ def test_metric_records_composition():
 
 
 def test_trace_records_filter():
+    event = TraceEvent(0.5, "recv", "dst", 3, 1, 0, "data", 2, -1)
     telemetry = SweepTelemetry(
         collected=[
-            {"record": "metric", "name": "x"},
-            {"record": "trace", "kind": "enqueue"},
-            {"record": "fault", "kind": "link-down"},
-        ]
+            {"record": "metric", "name": "x", "cell": "c"},
+            {"record": "fault", "kind": "link-down", "cell": "c"},
+        ],
+        traces=[("c", [event])],
     )
-    assert [r["record"] for r in telemetry.trace_records()] == ["trace", "fault"]
+    records = list(telemetry.trace_records())
+    assert [r["record"] for r in records] == ["trace", "fault"]
+    assert records[0] == {**trace_event_record(event), "cell": "c"}
+    # The export stream is the same records, packet events pre-rendered.
+    assert list(telemetry.trace_lines()) == [trace_line(event, "c"), records[1]]
 
 
 def test_cell_lookup_and_record_shape():
