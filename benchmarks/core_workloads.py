@@ -109,11 +109,10 @@ def fig6_multipath_workload(duration: float = 15.0) -> Dict[str, Any]:
     from repro.app.bulk import BulkTransfer
     from repro.topologies.multipath_mesh import (
         MultipathMeshSpec,
-        build_multipath_mesh,
         install_epsilon_routing,
     )
 
-    net = build_multipath_mesh(MultipathMeshSpec(link_delay=0.01, seed=2))
+    net = MultipathMeshSpec(link_delay=0.01, seed=2).build().network
     install_epsilon_routing(net, epsilon=0.01, reorder_acks=True)
     BulkTransfer(net, "tcp-pr", "src", "dst", flow_id=1)
 
@@ -127,12 +126,12 @@ def fig6_multipath_workload(duration: float = 15.0) -> Dict[str, Any]:
 def pr_bulk_workload(duration: float = 25.0) -> Dict[str, Any]:
     """A lone 10 Mbps TCP-PR bulk flow (timer-path dominated)."""
     from repro.app.bulk import BulkTransfer
-    from repro.topologies.dumbbell import DumbbellSpec, build_dumbbell
+    from repro.topologies.dumbbell import DumbbellSpec
     from repro.util.units import MBPS
 
-    net = build_dumbbell(
-        DumbbellSpec(num_pairs=1, bottleneck_bandwidth=10 * MBPS, seed=3)
-    )
+    net = DumbbellSpec(
+        num_pairs=1, bottleneck_bandwidth=10 * MBPS, seed=3
+    ).build().network
     BulkTransfer(net, "tcp-pr", "s0", "d0", flow_id=1)
 
     def run() -> int:

@@ -28,7 +28,7 @@ import pytest
 
 from repro.app.bulk import BulkTransfer
 from repro.checkpoint import save_checkpoint
-from repro.topologies.dumbbell import DumbbellSpec, build_dumbbell
+from repro.topologies.dumbbell import DumbbellSpec
 from repro.util.units import MBPS
 
 from conftest import RESULTS_DIR, paper_scale
@@ -42,9 +42,9 @@ WALL_RATIO_CEILING = 1.25
 
 
 def _build():
-    net = build_dumbbell(
-        DumbbellSpec(num_pairs=1, bottleneck_bandwidth=10 * MBPS, seed=1)
-    )
+    net = DumbbellSpec(
+        num_pairs=1, bottleneck_bandwidth=10 * MBPS, seed=1
+    ).build().network
     flow = BulkTransfer(net, "tcp-pr", "s0", "d0", flow_id=1)
     return net, flow
 

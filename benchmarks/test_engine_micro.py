@@ -9,7 +9,7 @@ from repro.net.network import Network, install_static_routes
 from repro.net.packet import Packet
 from repro.sim import Simulator
 from repro.app.bulk import BulkTransfer
-from repro.topologies.dumbbell import DumbbellSpec, build_dumbbell
+from repro.topologies.dumbbell import DumbbellSpec
 from repro.util.units import MBPS
 
 
@@ -65,9 +65,9 @@ def test_tcp_pr_flow_simulation_rate(benchmark):
     """A 5-second TCP-PR flow over a dumbbell (end-to-end stack cost)."""
 
     def run():
-        net = build_dumbbell(
-            DumbbellSpec(num_pairs=1, bottleneck_bandwidth=10 * MBPS, seed=1)
-        )
+        net = DumbbellSpec(
+            num_pairs=1, bottleneck_bandwidth=10 * MBPS, seed=1
+        ).build().network
         flow = BulkTransfer(net, "tcp-pr", "s0", "d0", flow_id=1)
         net.run(until=5.0)
         return flow.delivered_segments
@@ -80,9 +80,9 @@ def test_sack_flow_simulation_rate(benchmark):
     """The same end-to-end cost for the SACK baseline."""
 
     def run():
-        net = build_dumbbell(
-            DumbbellSpec(num_pairs=1, bottleneck_bandwidth=10 * MBPS, seed=1)
-        )
+        net = DumbbellSpec(
+            num_pairs=1, bottleneck_bandwidth=10 * MBPS, seed=1
+        ).build().network
         flow = BulkTransfer(net, "sack", "s0", "d0", flow_id=1)
         net.run(until=5.0)
         return flow.delivered_segments

@@ -12,8 +12,9 @@ landscape.
 
 import pytest
 
+from repro.exec.runner import run_sweep
 from repro.exec.spec import Scale
-from repro.experiments.fig6_multipath import Fig6Spec, format_fig6, run_fig6
+from repro.experiments.fig6_multipath import Fig6Spec, format_fig6
 from repro.util.units import MS
 
 from conftest import paper_scale, save_result
@@ -28,7 +29,7 @@ def test_extensions_on_multipath(benchmark):
     duration = 30.0 if paper_scale() else 15.0
 
     def run():
-        return run_fig6(Fig6Spec.presets(
+        return run_sweep(Fig6Spec.presets(
             Scale.QUICK,
             link_delay=10 * MS,
             protocols=EXTENSION_PROTOCOLS,

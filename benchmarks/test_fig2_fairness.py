@@ -7,6 +7,7 @@ stay ≈ 1 across the whole range on both topologies.
 
 import pytest
 
+from repro.exec.runner import run_sweep
 from repro.exec.spec import Scale
 from repro.experiments.fig2_fairness import (
     Fig2Spec,
@@ -17,7 +18,6 @@ from repro.experiments.fig2_fairness import (
     QUICK_FLOW_COUNTS,
     QUICK_MEASURE_WINDOW,
     format_fig2,
-    run_fig2,
 )
 
 from conftest import paper_scale, save_result
@@ -34,7 +34,7 @@ def test_fig2_fairness(benchmark, topology):
     flow_counts, duration, window = _params()
 
     def run():
-        return run_fig2(Fig2Spec.presets(
+        return run_sweep(Fig2Spec.presets(
             Scale.QUICK,
             topology=topology,
             flow_counts=flow_counts,

@@ -7,6 +7,7 @@ rates of roughly 4-13 %.
 
 import pytest
 
+from repro.exec.runner import run_sweep
 from repro.exec.spec import Scale
 from repro.experiments.fig3_cov import (
     Fig3Spec,
@@ -19,7 +20,6 @@ from repro.experiments.fig3_cov import (
     QUICK_FLOWS,
     QUICK_MEASURE_WINDOW,
     format_fig3,
-    run_fig3,
 )
 
 from conftest import paper_scale, save_result
@@ -41,7 +41,7 @@ def test_fig3_cov_vs_loss(benchmark, topology):
     bandwidths, flows, duration, window = _params()
 
     def run():
-        return run_fig3(Fig3Spec.presets(
+        return run_sweep(Fig3Spec.presets(
             Scale.QUICK,
             topology=topology,
             bandwidths_mbps=bandwidths,

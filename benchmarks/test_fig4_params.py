@@ -10,6 +10,7 @@ loss TCP-SACK's advantage stays ≤ ~20 % at beta = 10 and vanishes for
 
 import pytest
 
+from repro.exec.runner import run_sweep
 from repro.exec.spec import Scale
 from repro.experiments.fig4_params import (
     BetaSweepSpec,
@@ -26,8 +27,6 @@ from repro.experiments.fig4_params import (
     QUICK_MEASURE_WINDOW,
     format_beta_sweep,
     format_fig4,
-    run_extreme_loss_beta_sweep,
-    run_fig4,
 )
 
 from conftest import paper_scale, save_result
@@ -43,7 +42,7 @@ def test_fig4_alpha_beta_surface(benchmark):
     alphas, betas, flows, duration, window = _params()
 
     def run():
-        return run_fig4(Fig4Spec.presets(
+        return run_sweep(Fig4Spec.presets(
             Scale.QUICK,
             alphas=alphas,
             betas=betas,
@@ -78,7 +77,7 @@ def test_extreme_loss_beta_sweep(benchmark):
     window = PAPER_MEASURE_WINDOW if paper_scale() else QUICK_MEASURE_WINDOW
 
     def run():
-        return run_extreme_loss_beta_sweep(BetaSweepSpec.presets(
+        return run_sweep(BetaSweepSpec.presets(
             Scale.QUICK,
             betas=betas, total_flows=8, duration=duration,
             measure_window=window,

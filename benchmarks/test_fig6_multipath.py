@@ -16,6 +16,7 @@ Expected shape:
 
 import pytest
 
+from repro.exec.runner import run_sweep
 from repro.exec.spec import Scale
 from repro.experiments.fig6_multipath import (
     Fig6Spec,
@@ -25,7 +26,6 @@ from repro.experiments.fig6_multipath import (
     QUICK_DURATION,
     QUICK_EPSILONS,
     format_fig6,
-    run_fig6,
 )
 from repro.util.units import MS
 
@@ -43,7 +43,7 @@ def test_fig6_multipath(benchmark, delay_ms):
     epsilons, duration = _params()
 
     def run():
-        return run_fig6(Fig6Spec.presets(
+        return run_sweep(Fig6Spec.presets(
             Scale.QUICK,
             link_delay=delay_ms * MS,
             protocols=PAPER_PROTOCOLS,
@@ -78,11 +78,11 @@ def test_fig6_60ms_slower_than_10ms_at_single_path(benchmark):
     duration = PAPER_DURATION if paper_scale() else QUICK_DURATION
 
     def run():
-        fast = run_fig6(Fig6Spec.presets(
+        fast = run_sweep(Fig6Spec.presets(
             Scale.QUICK, link_delay=10 * MS, protocols=("tcp-pr", "tdfr"),
             epsilons=(500.0,), duration=duration,
         ))
-        slow = run_fig6(Fig6Spec.presets(
+        slow = run_sweep(Fig6Spec.presets(
             Scale.QUICK, link_delay=60 * MS, protocols=("tcp-pr", "tdfr"),
             epsilons=(500.0,), duration=duration,
         ))

@@ -22,7 +22,7 @@ import time
 from repro.app.bulk import BulkTransfer
 from repro.obs import Instrumentation, ambient
 from repro.sim import Simulator
-from repro.topologies.dumbbell import DumbbellSpec, build_dumbbell
+from repro.topologies.dumbbell import DumbbellSpec
 from repro.util.units import MBPS
 
 from conftest import RESULTS_DIR, paper_scale
@@ -32,10 +32,9 @@ ROUNDS = 5
 
 def _run_flow(duration, instrumented=False, profiled=False):
     sim = Simulator(seed=1, profile=profiled) if profiled else None
-    net = build_dumbbell(
-        DumbbellSpec(num_pairs=1, bottleneck_bandwidth=10 * MBPS, seed=1),
-        sim=sim,
-    )
+    net = DumbbellSpec(
+        num_pairs=1, bottleneck_bandwidth=10 * MBPS, seed=1
+    ).build(sim=sim).network
     flow = BulkTransfer(net, "tcp-pr", "s0", "d0", flow_id=1)
     inst = Instrumentation() if instrumented else None
     if inst is not None:

@@ -37,7 +37,6 @@ from repro.faults import (
 from repro.tcp.base import TcpConfig
 from repro.topologies.multipath_mesh import (
     MultipathMeshSpec,
-    build_multipath_mesh,
     install_epsilon_routing,
 )
 from repro.obs import FaultTimelineMonitor
@@ -71,7 +70,7 @@ def build_schedule() -> FaultSchedule:
 
 def run_flow(protocol: str) -> float:
     """One flow under the fault schedule; returns goodput in Mbps."""
-    net = build_multipath_mesh(MultipathMeshSpec(link_delay=10 * MS, seed=SEED))
+    net = MultipathMeshSpec(link_delay=10 * MS, seed=SEED).build().network
     install_epsilon_routing(net, epsilon=0.0)
     monitor = FaultTimelineMonitor()
     Injector(net, build_schedule(), monitor=monitor).arm()

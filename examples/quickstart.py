@@ -10,7 +10,7 @@ Run:
     python examples/quickstart.py
 """
 
-from repro import BulkTransfer, DumbbellSpec, build_dumbbell
+from repro import BulkTransfer, DumbbellSpec
 from repro.obs import CwndMonitor
 from repro.util.units import MBPS, fmt_bandwidth, fmt_time
 
@@ -25,7 +25,7 @@ def main() -> None:
         bottleneck_delay=0.010,
         seed=42,
     )
-    net = build_dumbbell(spec)
+    net = spec.build().network
 
     flow = BulkTransfer(net, "tcp-pr", "s0", "d0", flow_id=1)
     cwnd_monitor = CwndMonitor(net.sim, flow.sender, interval=0.1)

@@ -15,18 +15,17 @@ Run:
 import sys
 import time
 
+from repro.exec.runner import run_sweep
 from repro.exec.spec import Scale
-from repro.experiments.fig2_fairness import Fig2Spec, format_fig2, run_fig2
-from repro.experiments.fig3_cov import Fig3Spec, format_fig3, run_fig3
+from repro.experiments.fig2_fairness import Fig2Spec, format_fig2
+from repro.experiments.fig3_cov import Fig3Spec, format_fig3
 from repro.experiments.fig4_params import (
     BetaSweepSpec,
     Fig4Spec,
     format_beta_sweep,
     format_fig4,
-    run_extreme_loss_beta_sweep,
-    run_fig4,
 )
-from repro.experiments.fig6_multipath import Fig6Spec, format_fig6, run_fig6
+from repro.experiments.fig6_multipath import Fig6Spec, format_fig6
 from repro.util.units import MS
 
 
@@ -43,44 +42,44 @@ def main() -> None:
 
     section(
         "Figure 2 (dumbbell)",
-        format_fig2(run_fig2(Fig2Spec.presets(
+        format_fig2(run_sweep(Fig2Spec.presets(
             Scale.QUICK, topology="dumbbell", flow_counts=(4, 8)
         ))),
     )
     section(
         "Figure 2 (parking lot)",
-        format_fig2(run_fig2(Fig2Spec.presets(
+        format_fig2(run_sweep(Fig2Spec.presets(
             Scale.QUICK, topology="parking-lot", flow_counts=(4, 8)
         ))),
     )
     section(
         "Figure 3 (dumbbell)",
-        format_fig3(run_fig3(Fig3Spec.presets(
+        format_fig3(run_sweep(Fig3Spec.presets(
             Scale.QUICK, topology="dumbbell"
         ))),
     )
     section(
         "Figure 4 (alpha/beta surface)",
-        format_fig4(run_fig4(Fig4Spec.presets(
+        format_fig4(run_sweep(Fig4Spec.presets(
             Scale.QUICK, alphas=(0.995,), betas=(1.0, 3.0)
         ))),
     )
     section(
         "Section 4 extreme-loss beta sweep",
-        format_beta_sweep(run_extreme_loss_beta_sweep(BetaSweepSpec.presets(
+        format_beta_sweep(run_sweep(BetaSweepSpec.presets(
             Scale.QUICK, betas=(3.0, 10.0)
         ))),
     )
     section(
         "Figure 6 (10 ms)",
-        format_fig6(run_fig6(Fig6Spec.presets(
+        format_fig6(run_sweep(Fig6Spec.presets(
             Scale.QUICK, link_delay=10 * MS, epsilons=(0.0, 4.0, 500.0),
             duration=15.0,
         ))),
     )
     section(
         "Figure 6 (60 ms)",
-        format_fig6(run_fig6(Fig6Spec.presets(
+        format_fig6(run_sweep(Fig6Spec.presets(
             Scale.QUICK, link_delay=60 * MS, epsilons=(0.0, 4.0, 500.0),
             duration=15.0,
         ))),

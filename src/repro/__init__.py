@@ -63,9 +63,6 @@ _EXPORTS = {
     "TopologySpec": "repro.topologies",
     "WanMeshSpec": "repro.topologies",
     "available_variants": "repro.tcp",
-    "build_dumbbell": "repro.topologies",
-    "build_multipath_mesh": "repro.topologies",
-    "build_parking_lot": "repro.topologies",
     "coefficient_of_variation": "repro.analysis",
     "discover_paths": "repro.routing",
     "install_shortest_path_routes": "repro.routing",

@@ -14,7 +14,7 @@ from repro.commands.sweep import (
     _runner_from,
     _write_observability,
 )
-from repro.exec import CellError, Scale, SweepCell, SweepError
+from repro.exec import CellError, Scale, SweepError, run_sweep
 from repro.experiments import (
     fig2_fairness,
     fig3_cov,
@@ -28,35 +28,33 @@ from repro.util.units import MS
 
 @dataclass(frozen=True)
 class _FigureCommand:
-    """One figure subcommand: spec class + entry point + formatter."""
+    """One figure subcommand: spec class + formatter."""
 
     spec_cls: type
-    run: Callable[..., Any]
     fmt: Callable[[Any], str]
     #: Maps parsed args to spec-field overrides (None values are ignored
-    #: by ``presets``, so optional CLI arguments forward verbatim).
+    #: by ``presets``, so optional CLI arguments forward verbatim; list
+    #: flags take one value or more, and the spec tuples them).
     overrides: Callable[[argparse.Namespace], Dict[str, Any]]
 
 
 _FIGURES: Dict[str, _FigureCommand] = {
     "fig2": _FigureCommand(
         spec_cls=fig2_fairness.Fig2Spec,
-        run=fig2_fairness.run_fig2,
         fmt=fig2_fairness.format_fig2,
         overrides=lambda args: {
             "topology": args.topology,
-            "flow_counts": tuple(args.flows) if args.flows else None,
+            "flow_counts": args.flows,
             "duration": args.duration,
             "measure_window": args.window,
         },
     ),
     "fig3": _FigureCommand(
         spec_cls=fig3_cov.Fig3Spec,
-        run=fig3_cov.run_fig3,
         fmt=fig3_cov.format_fig3,
         overrides=lambda args: {
             "topology": args.topology,
-            "bandwidths_mbps": tuple(args.bandwidths) if args.bandwidths else None,
+            "bandwidths_mbps": args.bandwidths,
             "total_flows": args.flows,
             "duration": args.duration,
             "measure_window": args.window,
@@ -64,11 +62,10 @@ _FIGURES: Dict[str, _FigureCommand] = {
     ),
     "fig4": _FigureCommand(
         spec_cls=fig4_params.Fig4Spec,
-        run=fig4_params.run_fig4,
         fmt=fig4_params.format_fig4,
         overrides=lambda args: {
-            "alphas": tuple(args.alphas) if args.alphas else None,
-            "betas": tuple(args.betas) if args.betas else None,
+            "alphas": args.alphas,
+            "betas": args.betas,
             "total_flows": args.flows,
             "duration": args.duration,
             "measure_window": args.window,
@@ -76,28 +73,33 @@ _FIGURES: Dict[str, _FigureCommand] = {
     ),
     "fig6": _FigureCommand(
         spec_cls=fig6_multipath.Fig6Spec,
-        run=fig6_multipath.run_fig6,
         fmt=fig6_multipath.format_fig6,
         overrides=lambda args: {
-            "link_delay": args.delay_ms * MS if args.delay_ms is not None else None,
-            "protocols": tuple(args.protocols) if args.protocols else None,
-            "epsilons": tuple(args.epsilons) if args.epsilons else None,
+            "link_delay": args.delay_ms * MS,
+            "protocols": args.protocols,
+            "epsilons": args.epsilons,
             "duration": args.duration,
         },
     ),
     "fig7": _FigureCommand(
         spec_cls=fig7_faults.Fig7Spec,
-        run=fig7_faults.run_fig7,
         fmt=fig7_faults.format_fig7,
         overrides=lambda args: {
-            "link_delay": args.delay_ms * MS if args.delay_ms is not None else None,
-            "protocols": tuple(args.protocols) if args.protocols else None,
-            "outages": tuple(args.outages) if args.outages else None,
+            "link_delay": args.delay_ms * MS,
+            "protocols": args.protocols,
+            "outages": args.outages,
             "period": args.period,
             "duration": args.duration,
         },
     ),
 }
+
+
+def _sweep_failed(headline: str, exc: SweepError) -> int:
+    print(f"{headline}:", file=sys.stderr)
+    for error in exc.errors:
+        print(f"  {error.summary()}", file=sys.stderr)
+    return 1
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
@@ -110,12 +112,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     )
     runner = _runner_from(args)
     try:
-        result = command.run(spec, runner=runner)
+        result = run_sweep(spec, runner=runner)
     except SweepError as exc:
-        print(f"sweep failed ({args.command}):", file=sys.stderr)
-        for error in exc.errors:
-            print(f"  {error.summary()}", file=sys.stderr)
-        return 1
+        return _sweep_failed(f"sweep failed ({args.command})", exc)
     text = command.fmt(result)
     payload: Any = result
     failures = _failure_report(runner)
@@ -126,14 +125,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             Scale.from_flag(args.paper_scale), seed=args.seed
         )
         try:
-            points = fig4_params.run_extreme_loss_beta_sweep(
-                sweep_spec, runner=runner
-            )
+            points = run_sweep(sweep_spec, runner=runner)
         except SweepError as exc:
-            print("sweep failed (extreme beta sweep):", file=sys.stderr)
-            for error in exc.errors:
-                print(f"  {error.summary()}", file=sys.stderr)
-            return 1
+            return _sweep_failed("sweep failed (extreme beta sweep)", exc)
         text += "\n\n" + fig4_params.format_beta_sweep(points)
         payload = {"fig4": result, "extreme_beta_sweep": points}
         extra = _failure_report(runner)
@@ -151,31 +145,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     duration = args.duration
     if duration is None:
         duration = 30.0 if args.paper_scale else 15.0
-    cells = [
-        SweepCell(
-            key=variant,
-            func=fig6_multipath.CELL_FUNC,
-            params={
-                "protocol": variant,
-                "epsilon": args.epsilon,
-                "link_delay": args.delay_ms * MS,
-                "duration": duration,
-            },
-            seed=args.seed,
-        )
-        for variant in args.variants
-    ]
+    cells = fig6_multipath.Fig6Spec(
+        link_delay=args.delay_ms * MS,
+        protocols=args.variants,
+        epsilons=(args.epsilon,),
+        duration=duration,
+        seed=args.seed,
+    ).cells()
     runner = _runner_from(args)
     try:
         values = runner.run_cells(cells)
     except SweepError as exc:
-        print("comparison failed:", file=sys.stderr)
-        for error in exc.errors:
-            print(f"  {error.summary()}", file=sys.stderr)
-        return 1
+        return _sweep_failed("comparison failed", exc)
     results = {
         variant: value
-        for variant, value in values.items()
+        for (variant, _), value in values.items()
         if not isinstance(value, CellError)
     }
     text = (
@@ -197,14 +181,22 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 1 if failures else status
 
 
+def _positive(text: str) -> float:
+    """``type=`` for durations: a float > 0, else an argparse error."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0 (got {text})")
+    return value
+
+
 def _fig2_flags(fig2: argparse.ArgumentParser) -> None:
     fig2.add_argument("--topology", choices=["dumbbell", "parking-lot"],
                       default="dumbbell")
-    fig2.add_argument("--flows", type=int, nargs="*", default=None,
+    fig2.add_argument("--flows", type=int, nargs="+", default=None,
                       help="total flow counts to sweep")
-    fig2.add_argument("--duration", type=float, default=None,
+    fig2.add_argument("--duration", type=_positive, default=None,
                       help="seconds of simulated time per cell")
-    fig2.add_argument("--window", type=float, default=None,
+    fig2.add_argument("--window", type=_positive, default=None,
                       help="measurement window (final seconds)")
     fig2.set_defaults(func=_cmd_figure)
 
@@ -212,24 +204,24 @@ def _fig2_flags(fig2: argparse.ArgumentParser) -> None:
 def _fig3_flags(fig3: argparse.ArgumentParser) -> None:
     fig3.add_argument("--topology", choices=["dumbbell", "parking-lot"],
                       default="dumbbell")
-    fig3.add_argument("--bandwidths", type=float, nargs="*", default=None,
+    fig3.add_argument("--bandwidths", type=float, nargs="+", default=None,
                       help="bottleneck bandwidths (Mbps) to sweep")
     fig3.add_argument("--flows", type=int, default=None,
                       help="total number of flows")
-    fig3.add_argument("--duration", type=float, default=None)
-    fig3.add_argument("--window", type=float, default=None)
+    fig3.add_argument("--duration", type=_positive, default=None)
+    fig3.add_argument("--window", type=_positive, default=None)
     fig3.set_defaults(func=_cmd_figure)
 
 
 def _fig4_flags(fig4: argparse.ArgumentParser) -> None:
-    fig4.add_argument("--alphas", type=float, nargs="*", default=None,
+    fig4.add_argument("--alphas", type=float, nargs="+", default=None,
                       help="TCP-PR alpha values to sweep")
-    fig4.add_argument("--betas", type=float, nargs="*", default=None,
+    fig4.add_argument("--betas", type=float, nargs="+", default=None,
                       help="TCP-PR beta values to sweep")
     fig4.add_argument("--flows", type=int, default=None,
                       help="total number of flows")
-    fig4.add_argument("--duration", type=float, default=None)
-    fig4.add_argument("--window", type=float, default=None)
+    fig4.add_argument("--duration", type=_positive, default=None)
+    fig4.add_argument("--window", type=_positive, default=None)
     fig4.add_argument("--extreme", action="store_true",
                       help="also run the extreme-loss beta sweep")
     fig4.set_defaults(func=_cmd_figure)
@@ -238,23 +230,23 @@ def _fig4_flags(fig4: argparse.ArgumentParser) -> None:
 def _fig6_flags(fig6: argparse.ArgumentParser) -> None:
     fig6.add_argument("--delay-ms", type=float, default=10.0,
                       help="per-link delay in milliseconds (paper: 10 or 60)")
-    fig6.add_argument("--epsilons", type=float, nargs="*", default=None)
-    fig6.add_argument("--protocols", nargs="*", default=None,
+    fig6.add_argument("--epsilons", type=float, nargs="+", default=None)
+    fig6.add_argument("--protocols", nargs="+", default=None,
                       help="subset of protocols to run")
-    fig6.add_argument("--duration", type=float, default=None)
+    fig6.add_argument("--duration", type=_positive, default=None)
     fig6.set_defaults(func=_cmd_figure)
 
 
 def _fig7_flags(fig7: argparse.ArgumentParser) -> None:
     fig7.add_argument("--delay-ms", type=float, default=10.0,
                       help="per-link delay in milliseconds")
-    fig7.add_argument("--outages", type=float, nargs="*", default=None,
+    fig7.add_argument("--outages", type=float, nargs="+", default=None,
                       help="outage durations (seconds) to sweep")
-    fig7.add_argument("--protocols", nargs="*", default=None,
+    fig7.add_argument("--protocols", nargs="+", default=None,
                       help="subset of protocols to run")
-    fig7.add_argument("--period", type=float, default=None,
+    fig7.add_argument("--period", type=_positive, default=None,
                       help="seconds between outages (default: 10)")
-    fig7.add_argument("--duration", type=float, default=None)
+    fig7.add_argument("--duration", type=_positive, default=None)
     fig7.set_defaults(func=_cmd_figure)
 
 
@@ -262,7 +254,7 @@ def _compare_flags(compare: argparse.ArgumentParser) -> None:
     compare.add_argument("--variants", nargs="+", default=["tcp-pr", "sack"])
     compare.add_argument("--epsilon", type=float, default=0.0)
     compare.add_argument("--delay-ms", type=float, default=10.0)
-    compare.add_argument("--duration", type=float, default=None)
+    compare.add_argument("--duration", type=_positive, default=None)
     compare.set_defaults(func=_cmd_compare)
 
 

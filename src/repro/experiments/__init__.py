@@ -13,14 +13,13 @@
   under scheduled link outages, path blackouts, and ACK loss, via
   :mod:`repro.faults`).
 
-Each figure is described by a declarative :class:`ExperimentSpec`
-subclass (``Fig2Spec`` ... ``Fig6Spec``) carrying quick/paper
-:class:`Scale` presets, and executed by the sweep executor
-(:mod:`repro.exec`): the ``run_fig*`` entry points share the uniform
-signature ``run_figN(spec, *, jobs, cache, seed)`` (legacy keyword
-forms still work), fan independent cells over a process pool, and reuse
-cached results from ``.repro-cache/``.  Formatting helpers print the
-same rows/series the paper reports.
+Each figure is a declarative :class:`ExperimentSpec` subclass
+(``Fig2Spec`` ... ``Fig7Spec``, ``BetaSweepSpec``) carrying quick/paper
+:class:`Scale` presets, a cell function and a formatter.
+``run_sweep(spec, jobs=..., cache=..., seed=...)`` runs any of them: it
+fans the spec's independent cells over a process pool, reuses cached
+results from ``.repro-cache/`` and returns the assembled result, which
+the ``format_*`` helpers print as the rows/series the paper reports.
 """
 
 from repro.exec import (
@@ -37,17 +36,11 @@ from repro.experiments.runner import (
     build_fairness_scenario,
     run_fairness,
 )
-from repro.experiments.fig2_fairness import Fig2Result, Fig2Spec, run_fig2
-from repro.experiments.fig3_cov import Fig3Result, Fig3Spec, run_fig3
-from repro.experiments.fig4_params import (
-    BetaSweepSpec,
-    Fig4Result,
-    Fig4Spec,
-    run_extreme_loss_beta_sweep,
-    run_fig4,
-)
-from repro.experiments.fig6_multipath import Fig6Result, Fig6Spec, run_fig6
-from repro.experiments.fig7_faults import Fig7Result, Fig7Spec, run_fig7
+from repro.experiments.fig2_fairness import Fig2Result, Fig2Spec
+from repro.experiments.fig3_cov import Fig3Result, Fig3Spec
+from repro.experiments.fig4_params import BetaSweepSpec, Fig4Result, Fig4Spec
+from repro.experiments.fig6_multipath import Fig6Result, Fig6Spec
+from repro.experiments.fig7_faults import Fig7Result, Fig7Spec
 
 __all__ = [
     "BetaSweepSpec",
@@ -69,12 +62,6 @@ __all__ = [
     "Scale",
     "SweepCell",
     "build_fairness_scenario",
-    "run_extreme_loss_beta_sweep",
     "run_fairness",
-    "run_fig2",
-    "run_fig3",
-    "run_fig4",
-    "run_fig6",
-    "run_fig7",
     "run_sweep",
 ]

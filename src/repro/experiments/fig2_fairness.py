@@ -11,18 +11,12 @@ throughput plus the per-protocol means.  The expected result: both means
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.pr import PrConfig
-from repro.exec.runner import ResultCache, run_sweep
-from repro.experiments._deprecation import require_spec
 from repro.exec.spec import ExperimentSpec, Scale, SweepCell
 from repro.experiments.runner import FairnessResult, run_fairness
-from repro.scenarios.spec import ScenarioSpec
-from repro.scenarios.workload import WorkloadSpec
-from repro.topologies.base import TopologySpec
 from repro.topologies.dumbbell import DumbbellSpec
-from repro.topologies.parking_lot import ParkingLotSpec
 
 #: The flow counts on Figure 2's x-axis.
 PAPER_FLOW_COUNTS: Sequence[int] = (4, 8, 16, 32, 64)
@@ -124,44 +118,6 @@ class Fig2Spec(ExperimentSpec):
     def __post_init__(self) -> None:
         object.__setattr__(self, "flow_counts", tuple(self.flow_counts))
 
-    @property
-    def scenario(self) -> ScenarioSpec:
-        """This panel's topology/workload as a declarative scenario.
-
-        Mirrors the largest cell (``max(flow_counts)``): the same scaled
-        dumbbell (or parking lot) and a half TCP-PR / half SACK bulk
-        population with the cell's 2 s start stagger.  Variant
-        assignment is drawn from the mix rather than alternating
-        deterministically, so the split is statistical, not positional.
-        """
-        count = max(self.flow_counts)
-        topo: TopologySpec
-        if self.topology == "dumbbell":
-            scale = max(1.0, count / 8.0)
-            topo = DumbbellSpec(
-                num_pairs=1,
-                bottleneck_bandwidth=max(15e6, DUMBBELL_PER_FLOW_BPS * count),
-                access_bandwidth=1e9,
-                access_delay=1e-3,
-                queue_packets=int(100 * scale),
-                seed=self.seed,
-            )
-        else:
-            topo = ParkingLotSpec(seed=self.seed)
-        return ScenarioSpec(
-            topology=topo,
-            workload=WorkloadSpec(
-                arrival="fixed",
-                flow_count=count,
-                start_stagger=2.0,
-                size="bulk",
-                variant_mix=(("tcp-pr", 1.0), ("sack", 1.0)),
-            ),
-            duration=self.duration,
-            seed=self.seed,
-            name=self.name,
-        )
-
     def cells(self) -> List[SweepCell]:
         # Per-cell seed = seed + count: each flow count gets its own
         # independent streams regardless of execution order.
@@ -187,25 +143,6 @@ class Fig2Spec(ExperimentSpec):
             topology=self.topology,
             results={count: results[count] for count in self.flow_counts},
         )
-
-
-def run_fig2(
-    spec: Optional[Fig2Spec] = None,
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    seed: Optional[int] = None,
-    **exec_options: Any,
-) -> Fig2Result:
-    """Reproduce one panel of Figure 2.
-
-    ``spec`` is required: ``run_fig2(Fig2Spec.presets(Scale.QUICK, ...),
-    jobs=..., cache=..., seed=...)``.  Extra keyword arguments
-    (``timeout``, ``retries``, ``keep_going``, ``runner``) forward to
-    :func:`~repro.exec.runner.run_sweep`.
-    """
-    require_spec("run_fig2", Fig2Spec, spec, exec_options)
-    return run_sweep(spec, jobs=jobs, cache=cache, seed=seed, **exec_options)
 
 
 def format_fig2(result: Fig2Result) -> str:

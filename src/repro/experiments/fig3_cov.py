@@ -10,16 +10,11 @@ paper's finding: TCP-PR's CoV tracks TCP-SACK's over the whole range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.pr import PrConfig
-from repro.exec.runner import ResultCache, run_sweep
-from repro.experiments._deprecation import require_spec
 from repro.exec.spec import ExperimentSpec, Scale, SweepCell
 from repro.experiments.runner import FairnessResult, run_fairness
-from repro.scenarios.spec import ScenarioSpec
-from repro.scenarios.workload import WorkloadSpec
-from repro.topologies.base import TopologySpec
 from repro.topologies.dumbbell import DumbbellSpec
 from repro.topologies.parking_lot import ParkingLotSpec
 from repro.util.units import MBPS
@@ -126,42 +121,6 @@ class Fig3Spec(ExperimentSpec):
     def __post_init__(self) -> None:
         object.__setattr__(self, "bandwidths_mbps", tuple(self.bandwidths_mbps))
 
-    @property
-    def scenario(self) -> ScenarioSpec:
-        """This panel's topology/workload as a declarative scenario.
-
-        Mirrors the first bandwidth cell: the same bottleneck topology
-        and a half TCP-PR / half SACK bulk population (statistically
-        mixed rather than positionally alternated).
-        """
-        bandwidth = self.bandwidths_mbps[0]
-        topo: TopologySpec
-        if self.topology == "dumbbell":
-            topo = DumbbellSpec(
-                num_pairs=1,
-                bottleneck_bandwidth=bandwidth * MBPS,
-                access_bandwidth=100 * MBPS,
-                access_delay=1e-3,
-                seed=self.seed,
-            )
-        else:
-            topo = ParkingLotSpec(
-                backbone_bandwidth=bandwidth * MBPS, seed=self.seed
-            )
-        return ScenarioSpec(
-            topology=topo,
-            workload=WorkloadSpec(
-                arrival="fixed",
-                flow_count=self.total_flows,
-                start_stagger=2.0,
-                size="bulk",
-                variant_mix=(("tcp-pr", 1.0), ("sack", 1.0)),
-            ),
-            duration=self.duration,
-            seed=self.seed,
-            name=self.name,
-        )
-
     def cells(self) -> List[SweepCell]:
         return [
             SweepCell(
@@ -193,23 +152,6 @@ class Fig3Spec(ExperimentSpec):
         ]
         points.sort(key=lambda point: point.loss_rate)
         return Fig3Result(topology=self.topology, points=points)
-
-
-def run_fig3(
-    spec: Optional[Fig3Spec] = None,
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    seed: Optional[int] = None,
-    **exec_options: Any,
-) -> Fig3Result:
-    """Reproduce one panel of Figure 3.
-
-    ``spec`` is required: ``run_fig3(Fig3Spec.presets(Scale.QUICK, ...),
-    jobs=..., cache=..., seed=...)``.
-    """
-    require_spec("run_fig3", Fig3Spec, spec, exec_options)
-    return run_sweep(spec, jobs=jobs, cache=cache, seed=seed, **exec_options)
 
 
 def format_fig3(result: Fig3Result) -> str:

@@ -14,15 +14,11 @@ beta = 10 while parity holds for 1 < beta < 5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.pr import PrConfig
-from repro.exec.runner import ResultCache, run_sweep
-from repro.experiments._deprecation import require_spec
 from repro.exec.spec import ExperimentSpec, Scale, SweepCell
 from repro.experiments.runner import FairnessResult, run_fairness
-from repro.scenarios.spec import ScenarioSpec
-from repro.scenarios.workload import WorkloadSpec
 from repro.topologies.dumbbell import DumbbellSpec
 from repro.util.units import MBPS
 
@@ -110,33 +106,6 @@ class Fig4Spec(ExperimentSpec):
         object.__setattr__(self, "alphas", tuple(self.alphas))
         object.__setattr__(self, "betas", tuple(self.betas))
 
-    @property
-    def scenario(self) -> ScenarioSpec:
-        """This sweep's topology/workload as a declarative scenario.
-
-        The (alpha, beta) surface shares one fairness setup: the default
-        fat-access dumbbell and a half TCP-PR / half SACK bulk
-        population of ``total_flows`` (statistically mixed).
-        """
-        return ScenarioSpec(
-            topology=DumbbellSpec(
-                num_pairs=1,
-                access_bandwidth=100 * MBPS,
-                access_delay=1e-3,
-                seed=self.seed,
-            ),
-            workload=WorkloadSpec(
-                arrival="fixed",
-                flow_count=self.total_flows,
-                start_stagger=2.0,
-                size="bulk",
-                variant_mix=(("tcp-pr", 1.0), ("sack", 1.0)),
-            ),
-            duration=self.duration,
-            seed=self.seed,
-            name=self.name,
-        )
-
     def cells(self) -> List[SweepCell]:
         return [
             SweepCell(
@@ -172,23 +141,6 @@ class Fig4Spec(ExperimentSpec):
             sack_surface=sack_surface,
             pr_surface=pr_surface,
         )
-
-
-def run_fig4(
-    spec: Optional[Fig4Spec] = None,
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    seed: Optional[int] = None,
-    **exec_options: Any,
-) -> Fig4Result:
-    """Reproduce one panel of Figure 4.
-
-    ``spec`` is required: ``run_fig4(Fig4Spec.presets(Scale.QUICK, ...),
-    jobs=..., cache=..., seed=...)``.
-    """
-    require_spec("run_fig4", Fig4Spec, spec, exec_options)
-    return run_sweep(spec, jobs=jobs, cache=cache, seed=seed, **exec_options)
 
 
 def format_fig4(result: Fig4Result) -> str:
@@ -314,26 +266,6 @@ class BetaSweepSpec(ExperimentSpec):
                 )
             )
         return points
-
-
-def run_extreme_loss_beta_sweep(
-    spec: Optional[BetaSweepSpec] = None,
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    seed: Optional[int] = None,
-    **exec_options: Any,
-) -> List[BetaSweepPoint]:
-    """High-contention beta sweep (the paper's >15 %-loss robustness check).
-
-    ``spec`` is required:
-    ``run_extreme_loss_beta_sweep(BetaSweepSpec.presets(Scale.QUICK, ...),
-    jobs=..., cache=..., seed=...)``.
-    """
-    require_spec(
-        "run_extreme_loss_beta_sweep", BetaSweepSpec, spec, exec_options
-    )
-    return run_sweep(spec, jobs=jobs, cache=cache, seed=seed, **exec_options)
 
 
 def format_beta_sweep(points: List[BetaSweepPoint]) -> str:

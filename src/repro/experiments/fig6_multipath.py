@@ -21,12 +21,8 @@ from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.app.bulk import BulkTransfer
 from repro.checkpoint import checkpointable
 from repro.core.pr import PrConfig
-from repro.exec.runner import ResultCache, run_sweep
-from repro.experiments._deprecation import require_spec
 from repro.exec.spec import ExperimentSpec, Scale, SweepCell
 from repro.obs import maybe_observe
-from repro.scenarios.spec import ScenarioSpec
-from repro.scenarios.workload import WorkloadSpec
 from repro.tcp.base import TcpConfig
 from repro.topologies.multipath_mesh import (
     MultipathMeshSpec,
@@ -167,30 +163,6 @@ class Fig6Spec(ExperimentSpec):
         object.__setattr__(self, "protocols", tuple(self.protocols))
         object.__setattr__(self, "epsilons", tuple(self.epsilons))
 
-    @property
-    def scenario(self) -> ScenarioSpec:
-        """This panel's topology/workload as a declarative scenario.
-
-        One infinite bulk flow of the first listed protocol over the
-        Figure 5 mesh at this panel's link delay (the ε axis is an
-        execution knob, not part of the population).
-        """
-        return ScenarioSpec(
-            topology=MultipathMeshSpec(
-                link_delay=self.link_delay, seed=self.seed
-            ),
-            workload=WorkloadSpec(
-                arrival="fixed",
-                flow_count=1,
-                start_stagger=0.0,
-                size="bulk",
-                variant_mix=((self.protocols[0], 1.0),),
-            ),
-            duration=self.duration,
-            seed=self.seed,
-            name=self.name,
-        )
-
     def cells(self) -> List[SweepCell]:
         return [
             SweepCell(
@@ -216,23 +188,6 @@ class Fig6Spec(ExperimentSpec):
                 epsilon: results[(protocol, epsilon)] for epsilon in self.epsilons
             }
         return result
-
-
-def run_fig6(
-    spec: Optional[Fig6Spec] = None,
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    seed: Optional[int] = None,
-    **exec_options: Any,
-) -> Fig6Result:
-    """Reproduce one panel (one link-delay setting) of Figure 6.
-
-    ``spec`` is required: ``run_fig6(Fig6Spec.presets(Scale.QUICK, ...),
-    jobs=..., cache=..., seed=...)``.
-    """
-    require_spec("run_fig6", Fig6Spec, spec, exec_options)
-    return run_sweep(spec, jobs=jobs, cache=cache, seed=seed, **exec_options)
 
 
 def format_fig6(result: Fig6Result) -> str:

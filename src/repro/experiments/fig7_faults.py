@@ -31,8 +31,6 @@ from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.app.bulk import BulkTransfer
 from repro.core.pr import PrConfig
-from repro.exec.runner import ResultCache, run_sweep
-from repro.experiments._deprecation import require_spec
 from repro.exec.spec import ExperimentSpec, Scale, SweepCell
 from repro.faults.injector import Injector
 from repro.faults.schedule import (
@@ -45,8 +43,6 @@ from repro.faults.schedule import (
     PathBlackout,
 )
 from repro.obs import maybe_observe
-from repro.scenarios.spec import ScenarioSpec
-from repro.scenarios.workload import WorkloadSpec
 from repro.tcp.base import TcpConfig
 from repro.topologies.multipath_mesh import (
     MultipathMeshSpec,
@@ -205,30 +201,6 @@ class Fig7Spec(ExperimentSpec):
         object.__setattr__(self, "protocols", tuple(self.protocols))
         object.__setattr__(self, "outages", tuple(self.outages))
 
-    @property
-    def scenario(self) -> ScenarioSpec:
-        """This sweep's topology/workload as a declarative scenario.
-
-        One infinite bulk flow of the first listed protocol over the
-        Figure 5 mesh at this sweep's link delay (outage schedules are
-        an execution knob, not part of the population).
-        """
-        return ScenarioSpec(
-            topology=MultipathMeshSpec(
-                link_delay=self.link_delay, seed=self.seed
-            ),
-            workload=WorkloadSpec(
-                arrival="fixed",
-                flow_count=1,
-                start_stagger=0.0,
-                size="bulk",
-                variant_mix=((self.protocols[0], 1.0),),
-            ),
-            duration=self.duration,
-            seed=self.seed,
-            name=self.name,
-        )
-
     def cells(self) -> List[SweepCell]:
         return [
             SweepCell(
@@ -278,25 +250,6 @@ class Fig7Spec(ExperimentSpec):
                 else str(error)
             )
         return result
-
-
-def run_fig7(
-    spec: Optional[Fig7Spec] = None,
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    seed: Optional[int] = None,
-    **exec_options: Any,
-) -> Fig7Result:
-    """Run the outage sweep.
-
-    ``spec`` is required: ``run_fig7(Fig7Spec.presets(Scale.QUICK, ...),
-    jobs=..., cache=..., seed=...)``.  Extra keyword arguments
-    (``timeout``, ``retries``, ``keep_going``, ``runner``) forward to
-    :func:`~repro.exec.runner.run_sweep`.
-    """
-    require_spec("run_fig7", Fig7Spec, spec, exec_options)
-    return run_sweep(spec, jobs=jobs, cache=cache, seed=seed, **exec_options)
 
 
 def format_fig7(result: Fig7Result) -> str:

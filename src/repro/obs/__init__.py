@@ -17,9 +17,9 @@ Submodules:
   :class:`Instrumentation` owner object, and the ambient context used
   by the sweep executor;
 * :mod:`repro.obs.monitors` — the poll-based samplers (throughput,
-  cwnd, queue, fault timeline), formerly :mod:`repro.trace.monitors`;
+  cwnd, queue, fault timeline);
 * :mod:`repro.obs.trace` — :class:`PacketTracer` and the trace/fault
-  record types, formerly :mod:`repro.trace.events`;
+  record types;
 * :mod:`repro.obs.export` — the ``repro.obs/v1`` JSONL/CSV schema.
 """
 

@@ -1,4 +1,4 @@
-"""Sampling monitors (canonical home; was :mod:`repro.trace.monitors`).
+"""Sampling monitors.
 
 Monitors poll state on a fixed interval (they never perturb the
 simulation's outcome, though their sampling events do appear in the

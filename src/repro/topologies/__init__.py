@@ -17,8 +17,7 @@ round-trips any spec through JSON (see ``docs/SCENARIOS.md``):
 * :class:`~repro.topologies.wan_mesh.WanMeshSpec` — random wide-area
   mesh (ring + chords) with heterogeneous per-link delays.
 
-The ``build_*`` functions are deprecated thin wrappers over
-``spec.build()``, kept for older call sites.
+A caller that only needs the network takes ``spec.build(sim).network``.
 """
 
 from repro.topologies.base import (
@@ -31,18 +30,13 @@ from repro.topologies.base import (
     topology_to_jsonable,
     topology_with_seed,
 )
-from repro.topologies.dumbbell import DumbbellSpec, build_dumbbell
+from repro.topologies.dumbbell import DumbbellSpec
 from repro.topologies.fat_tree import FatTreeSpec
 from repro.topologies.multipath_mesh import (
     MultipathMeshSpec,
-    build_multipath_mesh,
     install_epsilon_routing,
 )
-from repro.topologies.parking_lot import (
-    CROSS_TRAFFIC_PAIRS,
-    ParkingLotSpec,
-    build_parking_lot,
-)
+from repro.topologies.parking_lot import CROSS_TRAFFIC_PAIRS, ParkingLotSpec
 from repro.topologies.wan_mesh import WanMeshSpec
 
 __all__ = [
@@ -54,9 +48,6 @@ __all__ = [
     "Topology",
     "TopologySpec",
     "WanMeshSpec",
-    "build_dumbbell",
-    "build_multipath_mesh",
-    "build_parking_lot",
     "install_epsilon_routing",
     "register_topology",
     "topology_class",

@@ -1,10 +1,8 @@
 """The :class:`TopologySpec` protocol: one way to build every network.
 
-Historically each topology shipped its own ad-hoc builder function
-(``build_dumbbell(spec)``, ``build_parking_lot(spec)``,
-``build_multipath_mesh(spec)``) and every consumer hard-coded the node
-names and bottleneck links that builder happened to create.  This module
-replaces that with a single protocol:
+Every topology is built through a single protocol, so no consumer
+hard-codes the node names and bottleneck links a shape happens to
+create:
 
 * a *spec* is a plain dataclass of JSON scalars describing the shape
   (so it can cross process boundaries and live inside a

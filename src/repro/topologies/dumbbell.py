@@ -99,15 +99,3 @@ class DumbbellSpec:
             receivers=receivers,
             bottlenecks=("r0->r1",),
         )
-
-
-def build_dumbbell(
-    spec: DumbbellSpec, sim: Optional[Simulator] = None
-) -> Network:
-    """Construct the dumbbell network and install shortest-path routes.
-
-    Deprecated: thin wrapper kept for older call sites.  New code should
-    use the ``TopologySpec`` protocol — ``spec.build(sim)`` — which also
-    returns the sender/receiver/bottleneck handles.
-    """
-    return spec.build(sim).network

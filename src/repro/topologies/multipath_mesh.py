@@ -84,18 +84,6 @@ class MultipathMeshSpec:
         )
 
 
-def build_multipath_mesh(
-    spec: MultipathMeshSpec, sim: Optional[Simulator] = None
-) -> Network:
-    """Construct the mesh; nodes ``src`` and ``dst`` are the endpoints.
-
-    Deprecated: thin wrapper kept for older call sites.  New code should
-    use the ``TopologySpec`` protocol — ``spec.build(sim)`` — which also
-    returns the sender/receiver handles.
-    """
-    return spec.build(sim).network
-
-
 def install_epsilon_routing(
     net: Network,
     epsilon: float,

@@ -108,15 +108,3 @@ class ParkingLotSpec:
             receivers=("D",),
             bottlenecks=("n1->n2", "n2->n3", "n3->n4"),
         )
-
-
-def build_parking_lot(
-    spec: ParkingLotSpec, sim: Optional[Simulator] = None
-) -> Network:
-    """Construct Figure 1's parking lot and install shortest-path routes.
-
-    Deprecated: thin wrapper kept for older call sites.  New code should
-    use the ``TopologySpec`` protocol — ``spec.build(sim)`` — which also
-    returns the sender/receiver/bottleneck handles.
-    """
-    return spec.build(sim).network

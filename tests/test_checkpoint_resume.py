@@ -37,7 +37,6 @@ from repro.sim.errors import InvariantViolation
 from repro.tcp.base import TcpConfig
 from repro.topologies.multipath_mesh import (
     MultipathMeshSpec,
-    build_multipath_mesh,
     install_epsilon_routing,
 )
 from repro.util.units import MS
@@ -54,7 +53,7 @@ SEED = 7
 
 def _build_cell(variant, epsilon, seed=SEED):
     """The exact scenario of one Figure 6 cell (mirrors fig6_multipath)."""
-    net = build_multipath_mesh(MultipathMeshSpec(link_delay=10 * MS, seed=seed))
+    net = MultipathMeshSpec(link_delay=10 * MS, seed=seed).build().network
     install_epsilon_routing(net, epsilon, reorder_acks=True)
     flow = BulkTransfer(
         net,

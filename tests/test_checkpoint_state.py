@@ -19,7 +19,7 @@ from repro.checkpoint import codec
 from repro.net import packet as packet_mod
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
-from repro.topologies.dumbbell import DumbbellSpec, build_dumbbell
+from repro.topologies.dumbbell import DumbbellSpec
 
 _SETTINGS = settings(
     max_examples=6,
@@ -29,7 +29,7 @@ _SETTINGS = settings(
 
 
 def _scenario(variant, seed, duration):
-    net = build_dumbbell(DumbbellSpec(num_pairs=1, seed=seed))
+    net = DumbbellSpec(num_pairs=1, seed=seed).build().network
     BulkTransfer(net, variant, "s0", "d0", flow_id=1)
     net.run(until=duration)
     return net

@@ -54,6 +54,57 @@ def test_fig6_topology_choice_validated():
 
 
 # ----------------------------------------------------------------------
+# Grid and duration flags are validated before any cell runs
+# ----------------------------------------------------------------------
+@pytest.fixture
+def no_cells(monkeypatch):
+    from repro.exec.runner import ParallelRunner
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(ParallelRunner, "run", refuse)
+    monkeypatch.setattr(ParallelRunner, "run_cells", refuse)
+
+
+def _usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig2", "--flows"],
+    ["fig3", "--bandwidths"],
+    ["fig4", "--alphas"],
+    ["fig4", "--betas"],
+    ["fig6", "--epsilons"],
+    ["fig6", "--protocols", "--epsilons", "0", "--duration", "1"],
+    ["fig7", "--outages"],
+    ["fig7", "--protocols"],
+])
+def test_empty_grid_flag_is_a_usage_error(argv, no_cells, capsys):
+    err = _usage_error([*argv, "--no-cache"], capsys)
+    assert "expected at least one argument" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig2", "--duration", "0"],
+    ["fig2", "--window", "-1"],
+    ["fig3", "--window", "0"],
+    ["fig4", "--duration", "-5"],
+    ["fig6", "--protocols", "tcp-pr", "--epsilons", "0", "--duration", "0"],
+    ["fig7", "--duration", "0"],
+    ["fig7", "--period", "0"],
+    ["compare", "--duration", "0"],
+])
+def test_non_positive_duration_is_a_usage_error(argv, no_cells, capsys):
+    err = _usage_error([*argv, "--no-cache"], capsys)
+    assert "must be > 0" in err
+
+
+# ----------------------------------------------------------------------
 # Executor flags: --jobs / --no-cache / --cache-dir / --json
 # ----------------------------------------------------------------------
 def _fig4_tiny(*extra):

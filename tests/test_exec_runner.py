@@ -11,9 +11,8 @@ from repro.exec.cache import ResultCache
 from repro.exec.runner import ParallelRunner, run_sweep
 from repro.exec.spec import SweepCell
 from repro.experiments import fig6_multipath
-from repro.experiments.fig2_fairness import run_fig2
-from repro.experiments.fig4_params import Fig4Spec, run_fig4
-from repro.experiments.fig6_multipath import Fig6Spec, run_fig6
+from repro.experiments.fig4_params import Fig4Spec
+from repro.experiments.fig6_multipath import Fig6Result, Fig6Spec
 
 
 def _tiny_fig6_spec(seed=0):
@@ -41,8 +40,8 @@ def test_fig6_parallel_is_bit_identical_to_serial():
 
 def test_fig4_parallel_is_bit_identical_to_serial():
     spec = _tiny_fig4_spec(seed=1)
-    serial = run_fig4(spec, jobs=1)
-    parallel = run_fig4(spec, jobs=4)
+    serial = run_sweep(spec, jobs=1)
+    parallel = run_sweep(spec, jobs=4)
     assert serial.sack_surface == parallel.sack_surface
     assert serial.pr_surface == parallel.pr_surface
 
@@ -54,7 +53,7 @@ def test_seed_still_flows_through_parallel_runs():
 
 
 # ----------------------------------------------------------------------
-# run_sweep / wrappers
+# run_sweep
 # ----------------------------------------------------------------------
 def test_run_sweep_seed_override():
     base = run_sweep(_tiny_fig6_spec(seed=7))
@@ -63,17 +62,26 @@ def test_run_sweep_seed_override():
 
 
 def test_spec_form_is_the_only_calling_convention():
-    """The legacy keyword/positional forms raise (see test_deprecations);
-    the spec form runs and matches itself across invocations."""
-    first = run_fig6(_tiny_fig6_spec())
-    second = run_fig6(_tiny_fig6_spec())
+    """``run_sweep(spec)`` runs a figure spec and matches itself across
+    invocations."""
+    first = run_sweep(_tiny_fig6_spec())
+    second = run_sweep(_tiny_fig6_spec())
     assert first == second
+
+
+def test_exec_options_still_pass_through():
+    result = run_sweep(
+        Fig6Spec(protocols=("tcp-pr",), epsilons=(500.0,), duration=2.0),
+        keep_going=True,
+    )
+    assert isinstance(result, Fig6Result)
+    assert result.throughput_mbps
 
 
 def test_run_fig2_spec_form():
     from repro.experiments.fig2_fairness import Fig2Spec
 
-    result = run_fig2(
+    result = run_sweep(
         Fig2Spec(
             topology="dumbbell",
             flow_counts=(2,),

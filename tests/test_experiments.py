@@ -2,26 +2,19 @@
 
 import pytest
 
+from repro.exec.runner import run_sweep
 from repro.exec.spec import Scale
-from repro.experiments.fig2_fairness import (
-    Fig2Result,
-    Fig2Spec,
-    format_fig2,
-    run_fig2,
-)
-from repro.experiments.fig3_cov import Fig3Spec, format_fig3, run_fig3
+from repro.experiments.fig2_fairness import Fig2Result, Fig2Spec, format_fig2
+from repro.experiments.fig3_cov import Fig3Spec, format_fig3
 from repro.experiments.fig4_params import (
     BetaSweepSpec,
     Fig4Spec,
     format_beta_sweep,
     format_fig4,
-    run_extreme_loss_beta_sweep,
-    run_fig4,
 )
 from repro.experiments.fig6_multipath import (
     Fig6Spec,
     format_fig6,
-    run_fig6,
     run_single_multipath_flow,
 )
 from repro.experiments.runner import (
@@ -80,7 +73,7 @@ def test_run_fairness_validates_window():
 
 
 def test_fig2_quick():
-    result = run_fig2(
+    result = run_sweep(
         Fig2Spec.presets(
             Scale.QUICK, flow_counts=(4,), duration=6.0, measure_window=4.0
         )
@@ -94,7 +87,7 @@ def test_fig2_quick():
 
 
 def test_fig3_quick():
-    result = run_fig3(
+    result = run_sweep(
         Fig3Spec.presets(
             Scale.QUICK,
             bandwidths_mbps=(6.0,),
@@ -111,7 +104,7 @@ def test_fig3_quick():
 
 
 def test_fig4_quick():
-    result = run_fig4(
+    result = run_sweep(
         Fig4Spec.presets(
             Scale.QUICK,
             alphas=(0.995,),
@@ -127,7 +120,7 @@ def test_fig4_quick():
 
 
 def test_beta_sweep_quick():
-    points = run_extreme_loss_beta_sweep(
+    points = run_sweep(
         BetaSweepSpec.presets(
             Scale.QUICK,
             betas=(3.0,),
@@ -147,7 +140,7 @@ def test_fig6_single_cell():
 
 
 def test_fig6_quick_panel():
-    result = run_fig6(
+    result = run_sweep(
         Fig6Spec.presets(
             Scale.QUICK, protocols=("tcp-pr",), epsilons=(0.0, 500.0),
             duration=4.0,
@@ -159,7 +152,7 @@ def test_fig6_quick_panel():
 
 
 def test_fig6_multipath_beats_single_path_for_tcp_pr():
-    result = run_fig6(
+    result = run_sweep(
         Fig6Spec.presets(
             Scale.QUICK, protocols=("tcp-pr",), epsilons=(0.0, 500.0),
             duration=8.0,

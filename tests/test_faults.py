@@ -6,11 +6,11 @@ import json
 import pytest
 
 from repro.app.bulk import BulkTransfer
+from repro.exec.runner import run_sweep
 from repro.experiments.fig7_faults import (
     Fig7Spec,
     format_fig7,
     outage_schedule,
-    run_fig7,
 )
 from repro.faults import (
     AckLoss,
@@ -35,7 +35,6 @@ from repro.sim.errors import (
 )
 from repro.topologies.multipath_mesh import (
     MultipathMeshSpec,
-    build_multipath_mesh,
     install_epsilon_routing,
 )
 from repro.obs import FaultTimelineMonitor
@@ -212,7 +211,7 @@ def test_ack_loss_window_starves_then_clears():
 # Path blackouts on both policy types
 # ----------------------------------------------------------------------
 def test_path_blackout_reroutes_epsilon_policy():
-    net = build_multipath_mesh(MultipathMeshSpec(link_delay=0.01, seed=1))
+    net = MultipathMeshSpec(link_delay=0.01, seed=1).build().network
     policy = install_epsilon_routing(net, epsilon=0.0)
     monitor = FaultTimelineMonitor()
     inject(net, FaultSchedule(
@@ -255,7 +254,7 @@ def test_path_blackout_on_route_flapper():
 
 
 def test_blackout_of_every_path_is_rejected():
-    net = build_multipath_mesh(MultipathMeshSpec(num_paths=2, seed=0))
+    net = MultipathMeshSpec(num_paths=2, seed=0).build().network
     policy = install_epsilon_routing(net, epsilon=0.0)
     policy.disable_path("dst", 0)
     with pytest.raises(SimulationError):
@@ -350,8 +349,8 @@ def test_peek_time_skips_cancelled_head():
 def test_fig7_tiny_sweep_shape_and_determinism():
     spec = Fig7Spec(protocols=("tcp-pr",), outages=(0.0, 2.0),
                     duration=8.0, period=4.0, seed=2)
-    serial = run_fig7(spec, jobs=1)
-    parallel = run_fig7(spec, jobs=2)
+    serial = run_sweep(spec, jobs=1)
+    parallel = run_sweep(spec, jobs=2)
     assert serial.goodput_mbps == parallel.goodput_mbps
     clean, faulted = (serial.goodput_mbps["tcp-pr"][o] for o in (0.0, 2.0))
     assert clean > 0 and faulted > 0

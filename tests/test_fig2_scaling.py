@@ -24,7 +24,7 @@ def test_paper_counts_match_figure2_axis():
 
 
 def test_scaling_keeps_per_flow_share_constant():
-    """Reconstruct the spec exactly as run_fig2 builds it and check the
+    """Reconstruct the spec exactly as run_fig2_cell builds it and check the
     per-flow share and queue-per-flow stay fixed across the sweep."""
     for count in PAPER_FLOW_COUNTS:
         bandwidth = max(15e6, DUMBBELL_PER_FLOW_BPS * count)

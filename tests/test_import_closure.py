@@ -82,15 +82,16 @@ def test_variants_imports_only_the_registry_closure(tmp_path):
 
 
 def test_fig6_imports_no_linter_and_no_trace_pipeline(tmp_path):
-    # repro.scenarios and repro.checkpoint are imported by
-    # repro.experiments.fig6_multipath itself (ScenarioSpec, the
-    # @checkpointable cell), so they are part of what fig6 uses.
+    # repro.checkpoint is imported by repro.experiments.fig6_multipath
+    # itself (the @checkpointable cell), so it is part of what fig6
+    # uses; repro.scenarios is only for ``repro scale``.
     modules = _modules_after(
         f"from repro.cli import main; assert main({FIG6!r}) == 0", tmp_path
     )
     assert "repro.experiments.fig6_multipath" in modules
     assert _loaded(
-        modules, "repro.lint", "repro.traces", "networkx", "numpy"
+        modules, "repro.lint", "repro.traces", "repro.scenarios",
+        "networkx", "numpy",
     ) == []
 
 

@@ -83,13 +83,12 @@ def test_route_flapping_scenario():
 
 def test_mixed_variants_share_one_bottleneck():
     """Several different variants coexist on one link without starving."""
-    from repro.topologies.dumbbell import DumbbellSpec, build_dumbbell
+    from repro.topologies.dumbbell import DumbbellSpec
     from repro.util.units import MBPS
 
-    net = build_dumbbell(
-        DumbbellSpec(num_pairs=1, bottleneck_bandwidth=8 * MBPS,
-                     access_bandwidth=100 * MBPS, access_delay=1e-3, seed=4)
-    )
+    net = DumbbellSpec(num_pairs=1, bottleneck_bandwidth=8 * MBPS,
+                       access_bandwidth=100 * MBPS, access_delay=1e-3,
+                       seed=4).build().network
     variants = ["tcp-pr", "sack", "newreno", "tdfr"]
     flows = [
         BulkTransfer(net, variant, "s0", "d0", flow_id=i + 1, start_at=0.2 * i)

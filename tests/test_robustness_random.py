@@ -141,7 +141,7 @@ def test_random_fault_schedule_never_deadlocks(
         AckLoss, DelaySpike, FaultSchedule, PathBlackout, inject,
     )
     from repro.topologies.multipath_mesh import (
-        MultipathMeshSpec, build_multipath_mesh, install_epsilon_routing,
+        MultipathMeshSpec, install_epsilon_routing,
     )
     from repro.app.bulk import BulkTransfer
 
@@ -162,7 +162,7 @@ def test_random_fault_schedule_never_deadlocks(
             )
         )
 
-    net = build_multipath_mesh(MultipathMeshSpec(seed=seed))
+    net = MultipathMeshSpec(seed=seed).build().network
     install_epsilon_routing(net, epsilon=0.0)
     inject(net, schedule)
     flow = BulkTransfer(net, "tcp-pr", "src", "dst", flow_id=1)

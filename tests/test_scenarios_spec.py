@@ -1,15 +1,9 @@
-"""Tests for ScenarioSpec: JSON round-trips, seed derivation, and the
-figure specs' ``scenario`` properties."""
+"""Tests for ScenarioSpec: JSON round-trips and seed derivation."""
 
 import json
 
 import pytest
 
-from repro.experiments.fig2_fairness import Fig2Spec
-from repro.experiments.fig3_cov import Fig3Spec
-from repro.experiments.fig4_params import Fig4Spec
-from repro.experiments.fig6_multipath import Fig6Spec
-from repro.experiments.fig7_faults import Fig7Spec
 from repro.scenarios import SCENARIO_SCHEMA, ScenarioSpec, WorkloadSpec
 from repro.sim.rng import derive_child_seed
 from repro.topologies import (
@@ -86,47 +80,3 @@ def test_with_seed_changes_population():
     a = [flow.to_jsonable() for flow in scenario.flows()]
     b = [flow.to_jsonable() for flow in scenario.with_seed(99).flows()]
     assert a != b
-
-
-# ----------------------------------------------------------------------
-# Figure specs expose their setup as scenarios
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "spec_cls, kind",
-    [
-        (Fig2Spec, "dumbbell"),
-        (Fig3Spec, "dumbbell"),
-        (Fig4Spec, "dumbbell"),
-        (Fig6Spec, "multipath-mesh"),
-        (Fig7Spec, "multipath-mesh"),
-    ],
-)
-def test_figure_specs_expose_scenarios(spec_cls, kind):
-    spec = spec_cls(seed=5)
-    scenario = spec.scenario
-    assert isinstance(scenario, ScenarioSpec)
-    assert scenario.name == spec_cls.name
-    assert scenario.seed == 5
-    assert type(scenario.topology).kind == kind
-    data = json.loads(json.dumps(scenario.to_jsonable()))
-    assert ScenarioSpec.from_jsonable(data) == scenario
-    assert scenario.flow_count() >= 1
-
-
-def test_fig2_scenario_tracks_largest_cell():
-    spec = Fig2Spec(flow_counts=(4, 16), seed=1)
-    scenario = spec.scenario
-    assert scenario.workload.flow_count == 16
-    assert scenario.workload.size == "bulk"
-    assert dict(scenario.workload.variant_mix) == {"tcp-pr": 1.0, "sack": 1.0}
-
-
-def test_fig3_scenario_uses_parking_lot_when_selected():
-    scenario = Fig3Spec(topology="parking-lot").scenario
-    assert type(scenario.topology).kind == "parking-lot"
-
-
-def test_fig6_scenario_single_bulk_flow():
-    scenario = Fig6Spec(protocols=("tcp-pr", "sack")).scenario
-    assert scenario.workload.flow_count == 1
-    assert scenario.workload.variant_mix == (("tcp-pr", 1.0),)

@@ -2,7 +2,8 @@
 
 import json
 
-from repro.experiments.fig6_multipath import Fig6Spec, run_fig6
+from repro.exec.runner import run_sweep
+from repro.experiments.fig6_multipath import Fig6Spec
 from repro.experiments.runner import run_fairness
 from repro.experiments.serialize import dump_result, result_to_jsonable
 
@@ -35,7 +36,7 @@ def test_fairness_result_round_trips(tmp_path):
 
 
 def test_fig6_result_serializes(tmp_path):
-    result = run_fig6(
+    result = run_sweep(
         Fig6Spec(protocols=("tcp-pr",), epsilons=(500.0,), duration=3.0)
     )
     blob = result_to_jsonable(result)

@@ -3,17 +3,12 @@
 import pytest
 
 from repro.routing.multipath import discover_paths
-from repro.topologies.dumbbell import DumbbellSpec, build_dumbbell
+from repro.topologies.dumbbell import DumbbellSpec
 from repro.topologies.multipath_mesh import (
     MultipathMeshSpec,
-    build_multipath_mesh,
     install_epsilon_routing,
 )
-from repro.topologies.parking_lot import (
-    CROSS_TRAFFIC_PAIRS,
-    ParkingLotSpec,
-    build_parking_lot,
-)
+from repro.topologies.parking_lot import CROSS_TRAFFIC_PAIRS, ParkingLotSpec
 from repro.util.units import MBPS
 
 
@@ -21,7 +16,7 @@ from repro.util.units import MBPS
 # Dumbbell
 # ----------------------------------------------------------------------
 def test_dumbbell_structure():
-    net = build_dumbbell(DumbbellSpec(num_pairs=3))
+    net = DumbbellSpec(num_pairs=3).build().network
     assert set(net.nodes) == {"r0", "r1", "s0", "s1", "s2", "d0", "d1", "d2"}
     # 1 bottleneck + 6 access links, both directions.
     assert len(net.links) == 14
@@ -29,14 +24,14 @@ def test_dumbbell_structure():
 
 def test_dumbbell_bottleneck_parameters():
     spec = DumbbellSpec(bottleneck_bandwidth=5 * MBPS, bottleneck_delay=0.02)
-    net = build_dumbbell(spec)
+    net = spec.build().network
     link = net.link("r0", "r1")
     assert link.bandwidth == pytest.approx(5 * MBPS)
     assert link.delay == pytest.approx(0.02)
 
 
 def test_dumbbell_routes_end_to_end():
-    net = build_dumbbell(DumbbellSpec(num_pairs=2))
+    net = DumbbellSpec(num_pairs=2).build().network
     assert net.node("s0").routes["d0"] == "r0"
     assert net.node("r0").routes["d1"] == "r1"
     assert net.node("r1").routes["s0"] == "r0"
@@ -49,14 +44,14 @@ def test_dumbbell_rtt_floor():
 
 def test_dumbbell_rejects_zero_pairs():
     with pytest.raises(ValueError):
-        build_dumbbell(DumbbellSpec(num_pairs=0))
+        DumbbellSpec(num_pairs=0).build()
 
 
 # ----------------------------------------------------------------------
 # Parking lot (Figure 1)
 # ----------------------------------------------------------------------
 def test_parking_lot_nodes_and_cross_pairs():
-    net = build_parking_lot(ParkingLotSpec())
+    net = ParkingLotSpec().build().network
     for name in ("S", "D", "n1", "n2", "n3", "n4", "CS1", "CS2", "CS3",
                  "CD1", "CD2", "CD3"):
         assert name in net.nodes
@@ -66,7 +61,7 @@ def test_parking_lot_nodes_and_cross_pairs():
 def test_parking_lot_paper_bandwidths():
     """The caption's asymmetric ingress rates: CS1->1 = 5 Mbps,
     CS2->2 = 1.66 Mbps, CS3->3 = 2.5 Mbps, everything else 15 Mbps."""
-    net = build_parking_lot(ParkingLotSpec())
+    net = ParkingLotSpec().build().network
     assert net.link("CS1", "n1").bandwidth == pytest.approx(5 * MBPS)
     assert net.link("CS2", "n2").bandwidth == pytest.approx(1.66 * MBPS)
     assert net.link("CS3", "n3").bandwidth == pytest.approx(2.5 * MBPS)
@@ -75,7 +70,7 @@ def test_parking_lot_paper_bandwidths():
 
 
 def test_parking_lot_main_path_crosses_all_bottlenecks():
-    net = build_parking_lot(ParkingLotSpec())
+    net = ParkingLotSpec().build().network
     # S -> D goes through n1, n2, n3, n4.
     hops = []
     current = "S"
@@ -87,7 +82,7 @@ def test_parking_lot_main_path_crosses_all_bottlenecks():
 
 
 def test_parking_lot_cross_routes_exist():
-    net = build_parking_lot(ParkingLotSpec())
+    net = ParkingLotSpec().build().network
     for cs, cd in CROSS_TRAFFIC_PAIRS:
         assert cd in net.node(cs).routes
 
@@ -97,7 +92,7 @@ def test_parking_lot_cross_routes_exist():
 # ----------------------------------------------------------------------
 def test_mesh_has_requested_disjoint_paths():
     spec = MultipathMeshSpec(num_paths=4)
-    net = build_multipath_mesh(spec)
+    net = spec.build().network
     paths = discover_paths(net, "src", "dst")
     assert len(paths) == 4
     # Hop counts 2, 3, 4, 5 at 10 ms per link.
@@ -105,7 +100,7 @@ def test_mesh_has_requested_disjoint_paths():
 
 
 def test_mesh_paper_link_parameters():
-    net = build_multipath_mesh(MultipathMeshSpec())
+    net = MultipathMeshSpec().build().network
     for link in net.links.values():
         assert link.bandwidth == pytest.approx(10 * MBPS)
         assert link.queue.capacity == 100
@@ -113,12 +108,12 @@ def test_mesh_paper_link_parameters():
 
 
 def test_mesh_60ms_variant():
-    net = build_multipath_mesh(MultipathMeshSpec(link_delay=0.060))
+    net = MultipathMeshSpec(link_delay=0.060).build().network
     assert net.link("src", "p0m0").delay == pytest.approx(0.060)
 
 
 def test_mesh_epsilon_routing_install():
-    net = build_multipath_mesh(MultipathMeshSpec(num_paths=3))
+    net = MultipathMeshSpec(num_paths=3).build().network
     policy = install_epsilon_routing(net, epsilon=0.0)
     assert net.node("src").path_policy is policy
     assert net.node("dst").path_policy is not None
@@ -127,7 +122,7 @@ def test_mesh_epsilon_routing_install():
 
 
 def test_mesh_epsilon_500_is_effectively_single_path():
-    net = build_multipath_mesh(MultipathMeshSpec(num_paths=4))
+    net = MultipathMeshSpec(num_paths=4).build().network
     policy = install_epsilon_routing(net, epsilon=500.0)
     weights = policy.weights_for("dst")
     assert weights[0] == pytest.approx(1.0)
@@ -135,4 +130,4 @@ def test_mesh_epsilon_500_is_effectively_single_path():
 
 def test_mesh_rejects_zero_paths():
     with pytest.raises(ValueError):
-        build_multipath_mesh(MultipathMeshSpec(num_paths=0))
+        MultipathMeshSpec(num_paths=0).build()

@@ -1,5 +1,5 @@
 """Tests for the TopologySpec protocol and the scale-out generators
-(fat-tree, WAN mesh), plus the legacy builder wrappers."""
+(fat-tree, WAN mesh)."""
 
 import pytest
 
@@ -11,9 +11,6 @@ from repro.topologies import (
     Topology,
     TopologySpec,
     WanMeshSpec,
-    build_dumbbell,
-    build_multipath_mesh,
-    build_parking_lot,
     topology_class,
     topology_from_jsonable,
     topology_kinds,
@@ -185,12 +182,12 @@ def test_wan_mesh_validation():
 
 
 # ----------------------------------------------------------------------
-# The legacy builder wrappers stay functional
+# ``spec.build().network`` is the bare network
 # ----------------------------------------------------------------------
 def test_builder_wrappers_return_bare_networks():
-    net = build_dumbbell(DumbbellSpec(num_pairs=1))
+    net = DumbbellSpec(num_pairs=1).build().network
     assert "r0" in net.nodes
-    net = build_parking_lot(ParkingLotSpec())
+    net = ParkingLotSpec().build().network
     assert "n1" in net.nodes
-    net = build_multipath_mesh(MultipathMeshSpec())
+    net = MultipathMeshSpec().build().network
     assert "src" in net.nodes

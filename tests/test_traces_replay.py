@@ -16,7 +16,6 @@ from repro.obs.trace import PacketTracer
 from repro.tcp.base import TcpConfig
 from repro.topologies.multipath_mesh import (
     MultipathMeshSpec,
-    build_multipath_mesh,
     install_epsilon_routing,
 )
 from repro.traces import (
@@ -38,7 +37,7 @@ TOLERANCE = 0.10
 
 def _traced_fig6_cell(epsilon=PINNED_EPSILON, duration=PINNED_DURATION,
                       seed=PINNED_SEED):
-    net = build_multipath_mesh(MultipathMeshSpec(link_delay=0.01, seed=seed))
+    net = MultipathMeshSpec(link_delay=0.01, seed=seed).build().network
     install_epsilon_routing(net, epsilon)
     BulkTransfer(
         net,
