@@ -1,11 +1,17 @@
 """``fig2`` ... ``fig7`` and ``compare``: the paper's figures, each a
-preset spec plus flag overrides run through :func:`_cmd_figure`."""
+preset spec plus flag overrides run through :func:`_cmd_figure`.
+
+A command imports only its own figure module, and that module's
+top level is the spec, result and formatter: the simulator is imported
+by the cell functions, so only cells the cache did not serve load it.
+"""
 
 from __future__ import annotations
 
 import argparse
 import sys
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Any, Callable, Dict, List
 
 from repro.cli import _finish
@@ -14,24 +20,19 @@ from repro.commands.sweep import (
     _runner_from,
     _write_observability,
 )
-from repro.exec import CellError, Scale, SweepError, run_sweep
-from repro.experiments import (
-    fig2_fairness,
-    fig3_cov,
-    fig4_params,
-    fig6_multipath,
-    fig7_faults,
-)
-from repro.experiments.report import bar_chart
+from repro.exec.runner import CellError, SweepError, run_sweep
+from repro.exec.spec import Scale
 from repro.util.units import MS
 
 
 @dataclass(frozen=True)
 class _FigureCommand:
-    """One figure subcommand: spec class + formatter."""
+    """One figure subcommand: its module under :mod:`repro.experiments`,
+    the spec class and the formatter there."""
 
-    spec_cls: type
-    fmt: Callable[[Any], str]
+    module: str
+    spec: str
+    fmt: str
     #: Maps parsed args to spec-field overrides (None values are ignored
     #: by ``presets``, so optional CLI arguments forward verbatim; list
     #: flags take one value or more, and the spec tuples them).
@@ -40,8 +41,9 @@ class _FigureCommand:
 
 _FIGURES: Dict[str, _FigureCommand] = {
     "fig2": _FigureCommand(
-        spec_cls=fig2_fairness.Fig2Spec,
-        fmt=fig2_fairness.format_fig2,
+        module="fig2_fairness",
+        spec="Fig2Spec",
+        fmt="format_fig2",
         overrides=lambda args: {
             "topology": args.topology,
             "flow_counts": args.flows,
@@ -50,8 +52,9 @@ _FIGURES: Dict[str, _FigureCommand] = {
         },
     ),
     "fig3": _FigureCommand(
-        spec_cls=fig3_cov.Fig3Spec,
-        fmt=fig3_cov.format_fig3,
+        module="fig3_cov",
+        spec="Fig3Spec",
+        fmt="format_fig3",
         overrides=lambda args: {
             "topology": args.topology,
             "bandwidths_mbps": args.bandwidths,
@@ -61,8 +64,9 @@ _FIGURES: Dict[str, _FigureCommand] = {
         },
     ),
     "fig4": _FigureCommand(
-        spec_cls=fig4_params.Fig4Spec,
-        fmt=fig4_params.format_fig4,
+        module="fig4_params",
+        spec="Fig4Spec",
+        fmt="format_fig4",
         overrides=lambda args: {
             "alphas": args.alphas,
             "betas": args.betas,
@@ -72,8 +76,9 @@ _FIGURES: Dict[str, _FigureCommand] = {
         },
     ),
     "fig6": _FigureCommand(
-        spec_cls=fig6_multipath.Fig6Spec,
-        fmt=fig6_multipath.format_fig6,
+        module="fig6_multipath",
+        spec="Fig6Spec",
+        fmt="format_fig6",
         overrides=lambda args: {
             "link_delay": args.delay_ms * MS,
             "protocols": args.protocols,
@@ -82,8 +87,9 @@ _FIGURES: Dict[str, _FigureCommand] = {
         },
     ),
     "fig7": _FigureCommand(
-        spec_cls=fig7_faults.Fig7Spec,
-        fmt=fig7_faults.format_fig7,
+        module="fig7_faults",
+        spec="Fig7Spec",
+        fmt="format_fig7",
         overrides=lambda args: {
             "link_delay": args.delay_ms * MS,
             "protocols": args.protocols,
@@ -102,33 +108,49 @@ def _sweep_failed(headline: str, exc: SweepError) -> int:
     return 1
 
 
+def _check_window(args: argparse.Namespace, spec: Any) -> None:
+    """A usage error (exit 2) unless the measurement window, flag or
+    preset, is shorter than the duration: no cell could succeed."""
+    window = getattr(spec, "measure_window", None)
+    if window is None or window < spec.duration:
+        return
+
+    def shown(value: float, flag: Any) -> str:
+        return f"{value:g} s" + (", preset" if flag is None else "")
+
+    args.usage_error(
+        f"--window ({shown(window, args.window)}) must be shorter than "
+        f"--duration ({shown(spec.duration, args.duration)})"
+    )
+
+
 def _cmd_figure(args: argparse.Namespace) -> int:
     """The single code path every figure subcommand dispatches through."""
     command = _FIGURES[args.command]
-    spec = command.spec_cls.presets(
-        Scale.from_flag(args.paper_scale),
-        seed=args.seed,
-        **command.overrides(args),
+    module = import_module(f"repro.experiments.{command.module}")
+    scale = Scale.from_flag(args.paper_scale)
+    spec = getattr(module, command.spec).presets(
+        scale, seed=args.seed, **command.overrides(args)
     )
+    _check_window(args, spec)
     runner = _runner_from(args)
     try:
         result = run_sweep(spec, runner=runner)
     except SweepError as exc:
         return _sweep_failed(f"sweep failed ({args.command})", exc)
-    text = command.fmt(result)
+    text = getattr(module, command.fmt)(result)
     payload: Any = result
     failures = _failure_report(runner)
     telemetries = [runner.last_stats.telemetry]
 
     if getattr(args, "extreme", False):
-        sweep_spec = fig4_params.BetaSweepSpec.presets(
-            Scale.from_flag(args.paper_scale), seed=args.seed
-        )
+        # Only fig4 has --extreme: ``module`` is fig4_params.
+        sweep_spec = module.BetaSweepSpec.presets(scale, seed=args.seed)
         try:
             points = run_sweep(sweep_spec, runner=runner)
         except SweepError as exc:
             return _sweep_failed("sweep failed (extreme beta sweep)", exc)
-        text += "\n\n" + fig4_params.format_beta_sweep(points)
+        text += "\n\n" + module.format_beta_sweep(points)
         payload = {"fig4": result, "extreme_beta_sweep": points}
         extra = _failure_report(runner)
         failures = "\n".join(part for part in (failures, extra) if part)
@@ -142,6 +164,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.experiments import fig6_multipath
+    from repro.experiments.report import bar_chart
+
     duration = args.duration
     if duration is None:
         duration = 30.0 if args.paper_scale else 15.0
@@ -189,16 +214,22 @@ def _positive(text: str) -> float:
     return value
 
 
+def _window_flags(parser: argparse.ArgumentParser) -> None:
+    """``--duration``/``--window`` of the fairness figures; the pair is
+    checked against each other once presets fill what was left out."""
+    parser.add_argument("--duration", type=_positive, default=None,
+                        help="seconds of simulated time per cell")
+    parser.add_argument("--window", type=_positive, default=None,
+                        help="measurement window (final seconds)")
+    parser.set_defaults(func=_cmd_figure, usage_error=parser.error)
+
+
 def _fig2_flags(fig2: argparse.ArgumentParser) -> None:
     fig2.add_argument("--topology", choices=["dumbbell", "parking-lot"],
                       default="dumbbell")
     fig2.add_argument("--flows", type=int, nargs="+", default=None,
                       help="total flow counts to sweep")
-    fig2.add_argument("--duration", type=_positive, default=None,
-                      help="seconds of simulated time per cell")
-    fig2.add_argument("--window", type=_positive, default=None,
-                      help="measurement window (final seconds)")
-    fig2.set_defaults(func=_cmd_figure)
+    _window_flags(fig2)
 
 
 def _fig3_flags(fig3: argparse.ArgumentParser) -> None:
@@ -208,9 +239,7 @@ def _fig3_flags(fig3: argparse.ArgumentParser) -> None:
                       help="bottleneck bandwidths (Mbps) to sweep")
     fig3.add_argument("--flows", type=int, default=None,
                       help="total number of flows")
-    fig3.add_argument("--duration", type=_positive, default=None)
-    fig3.add_argument("--window", type=_positive, default=None)
-    fig3.set_defaults(func=_cmd_figure)
+    _window_flags(fig3)
 
 
 def _fig4_flags(fig4: argparse.ArgumentParser) -> None:
@@ -220,11 +249,9 @@ def _fig4_flags(fig4: argparse.ArgumentParser) -> None:
                       help="TCP-PR beta values to sweep")
     fig4.add_argument("--flows", type=int, default=None,
                       help="total number of flows")
-    fig4.add_argument("--duration", type=_positive, default=None)
-    fig4.add_argument("--window", type=_positive, default=None)
+    _window_flags(fig4)
     fig4.add_argument("--extreme", action="store_true",
                       help="also run the extreme-loss beta sweep")
-    fig4.set_defaults(func=_cmd_figure)
 
 
 def _fig6_flags(fig6: argparse.ArgumentParser) -> None:

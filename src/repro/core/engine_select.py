@@ -20,6 +20,18 @@ attached to.  Import order therefore never matters, and a single
 process can build pure and compiled simulators side by side (the
 benchmark A/B does exactly that, via :func:`use_engine`).
 
+Choosing a build imports no hot-core module.  :func:`activate` only
+*locates* the extension (``importlib.util.find_spec``); the hooks of
+:mod:`repro.sim.engine`, :mod:`repro.net.link` and
+:mod:`repro.net.node` are pointed at the chosen build right away when
+those modules are already loaded, and otherwise by the first
+``Simulator(...)`` construction (:func:`install`).  So a command that
+never builds a simulator (a cache-warm figure) never loads the
+engine or the extension, and a ``--jobs`` worker that imports the
+engine only inside its cell still gets the build the parent chose.
+An extension that is found but fails to load is reported at that
+first construction: ``compiled`` raises, ``auto`` falls back to pure.
+
 Precedence, highest first:
 
 1. an explicit :func:`activate`/:func:`use_engine` call (the CLI's
@@ -39,8 +51,9 @@ extension, even when it is present.
 from __future__ import annotations
 
 import os
+import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 #: Recognized engine modes.
@@ -108,6 +121,35 @@ def _import_compiled() -> Optional[Dict[str, type]]:
     return _compiled_classes
 
 
+def _locate_compiled() -> Optional[str]:
+    """Path of the extension, found without importing it, or None."""
+    global _compiled_import_error
+    if _compiled_classes is not None:
+        return str(_compiled_classes["__file__"])
+    if _compiled_import_error is not None:
+        return None
+    import importlib.util
+
+    spec = importlib.util.find_spec(EXTENSION_MODULE)
+    if spec is None or spec.origin is None:
+        _compiled_import_error = (
+            f"ModuleNotFoundError: No module named {EXTENSION_MODULE!r}"
+        )
+        return None
+    return spec.origin
+
+
+def _unavailable(detail: Optional[str]) -> EngineUnavailableError:
+    return EngineUnavailableError(
+        "REPRO_ENGINE=compiled was requested but the compiled "
+        f"extension ({EXTENSION_MODULE}) is not importable"
+        + (f" ({detail})" if detail else "")
+        + f". Build it with `{BUILD_HINT}` (requires a C "
+        "toolchain and CPython headers), or run with "
+        "REPRO_ENGINE=auto|pure to use the pure-python engine."
+    )
+
+
 def compiled_available() -> bool:
     """True when the compiled extension imports on this interpreter."""
     return _import_compiled() is not None
@@ -143,56 +185,88 @@ def activate(mode: Optional[str] = None) -> EngineInfo:
     resolved = resolve_mode(mode)
     extension: Optional[str] = None
     fallback: Optional[str] = None
-    classes: Optional[Dict[str, type]] = None
     if resolved in ("auto", "compiled"):
-        classes = _import_compiled()
-        if classes is None:
+        extension = _locate_compiled()
+        if (
+            extension is not None
+            and "repro.sim.engine" in sys.modules
+            and _import_compiled() is None
+        ):
+            # With the engine loaded there is nothing to defer: an
+            # extension that fails to import is unavailable now.
+            extension = None
+        if extension is None:
             if resolved == "compiled":
-                raise EngineUnavailableError(
-                    "REPRO_ENGINE=compiled was requested but the compiled "
-                    f"extension ({EXTENSION_MODULE}) is not importable"
-                    + (
-                        f" ({_compiled_import_error})"
-                        if _compiled_import_error
-                        else ""
-                    )
-                    + f". Build it with `{BUILD_HINT}` (requires a C "
-                    "toolchain and CPython headers), or run with "
-                    "REPRO_ENGINE=auto|pure to use the pure-python engine."
-                )
+                raise _unavailable(_compiled_import_error)
             fallback = _compiled_import_error
-        else:
-            extension = str(classes["__file__"])
-    name = "compiled" if classes is not None else "pure"
-    _install(classes)
     if mode is not None:
         # Explicit choices propagate to spawned worker processes, which
         # re-resolve from the environment on first construction.
         os.environ[ENV_VAR] = resolved
     _active = EngineInfo(
-        mode=resolved, name=name, extension=extension, fallback_reason=fallback
+        mode=resolved,
+        name="compiled" if extension is not None else "pure",
+        extension=extension,
+        fallback_reason=fallback,
     )
+    if "repro.sim.engine" in sys.modules:
+        install()
     return _active
 
 
-def _install(classes: Optional[Dict[str, type]]) -> None:
-    """Point the construction hooks at the chosen implementation set."""
-    from repro.net import link as _link
-    from repro.net import node as _node
-    from repro.sim import engine as _engine
+#: ``(module, hook attribute, class name in the compiled class map)``:
+#: the construction hooks :func:`_install` points at a build.
+_HOOKS: Tuple[Tuple[str, str, str], ...] = (
+    ("repro.sim.engine", "_COMPILED_SIMULATOR", "Simulator"),
+    ("repro.net.link", "_COMPILED_LINK", "Link"),
+    ("repro.net.link", "_COMPILED_SIMULATOR", "Simulator"),
+    ("repro.net.node", "_COMPILED_NODE", "Node"),
+    ("repro.net.node", "_COMPILED_SIMULATOR", "Simulator"),
+)
 
-    if classes is None:
-        _engine._COMPILED_SIMULATOR = None
-        _link._COMPILED_LINK = None
-        _link._COMPILED_SIMULATOR = None
-        _node._COMPILED_NODE = None
-        _node._COMPILED_SIMULATOR = None
-    else:
-        _engine._COMPILED_SIMULATOR = classes["Simulator"]
-        _link._COMPILED_LINK = classes["Link"]
-        _link._COMPILED_SIMULATOR = classes["Simulator"]
-        _node._COMPILED_NODE = classes["Node"]
-        _node._COMPILED_SIMULATOR = classes["Simulator"]
+
+def _install(classes: Optional[Dict[str, type]]) -> None:
+    """Point the construction hooks of the hot-core modules already
+    imported at ``classes`` (None = pure).
+
+    A module imported later starts pure; the compiled classes import
+    all three, so a compiled install always reaches every hook.
+    """
+    for module_name, hook, name in _HOOKS:
+        module = sys.modules.get(module_name)
+        if module is not None:
+            setattr(module, hook, classes[name] if classes is not None else None)
+
+
+def install() -> EngineInfo:
+    """Install the active build into the loaded hot-core modules.
+
+    Activates from the environment first when nothing is active.
+    :func:`activate` calls it when :mod:`repro.sim.engine` is already
+    imported; otherwise the first ``Simulator(...)`` construction does,
+    which is where a located compiled extension is actually imported.
+
+    Raises:
+        EngineUnavailableError: mode ``compiled`` and the located
+            extension failed to import.
+    """
+    global _active
+    if _active is None:
+        return activate(None)
+    classes: Optional[Dict[str, type]] = None
+    if _active.name == "compiled":
+        classes = _import_compiled()
+        if classes is None:
+            if _active.mode == "compiled":
+                raise _unavailable(_compiled_import_error)
+            _active = replace(
+                _active,
+                name="pure",
+                extension=None,
+                fallback_reason=_compiled_import_error,
+            )
+    _install(classes)
+    return _active
 
 
 def active() -> EngineInfo:
@@ -227,15 +301,12 @@ def use_engine(mode: str) -> Iterator[EngineInfo]:
             os.environ.pop(ENV_VAR, None)
         else:
             os.environ[ENV_VAR] = previous_env
+        _active = previous
         if previous is None:
-            _active = None
             _install(None)
             # Next construction re-resolves lazily from the environment.
-        else:
-            _active = previous
-            _install(
-                _import_compiled() if previous.name == "compiled" else None
-            )
+        elif "repro.sim.engine" in sys.modules:
+            install()
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,10 @@ package turns that observation into infrastructure:
   (:class:`CellError` capture, per-cell ``timeout``, ``retries`` with
   re-derived seeds, ``keep_going`` partial assembly);
 * :mod:`repro.exec.cache` — :class:`ResultCache`, a content-addressed
-  on-disk store under ``.repro-cache/`` making repeat runs near-instant;
+  on-disk store under ``.repro-cache/`` making repeat runs near-instant:
+  the runner reads the cache first and resolves (imports) the cell
+  functions of the misses only, so a fully cached sweep loads no
+  simulator code;
 * :mod:`repro.exec.journal` — :class:`SweepJournal`, the append-only
   crash log that makes a killed sweep resumable (paired with the
   per-cell checkpoints of :mod:`repro.checkpoint`);
@@ -23,36 +26,69 @@ package turns that observation into infrastructure:
 
 See ``docs/EXECUTOR.md`` for the design, ``docs/FAULTS.md`` for the
 failure policy, and ``docs/OBSERVABILITY.md`` for metric collection.
+The names below are re-exported lazily: ``import repro.exec`` loads no
+submodule, and the runner imports :mod:`repro.obs` only when a sweep
+collects metrics or traces or keeps a journal.
 """
 
-from repro.exec.cache import (
-    CACHE_SCHEMA_VERSION,
-    DEFAULT_CACHE_DIR,
-    CacheStats,
-    ResultCache,
-)
-from repro.exec.journal import (
-    JOURNAL_SCHEMA,
-    JournalState,
-    SweepJournal,
-    sweep_id_for,
-)
-from repro.exec.runner import (
-    CellError,
-    CellTimeout,
-    ParallelRunner,
-    RunStats,
-    SweepError,
-    run_sweep,
-)
-from repro.exec.spec import (
-    ExperimentSpec,
-    PartialSweepResult,
-    Scale,
-    SweepCell,
-    resolve_func,
-)
-from repro.exec.telemetry import CellTelemetry, SweepTelemetry
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.exec.cache import (
+        CACHE_SCHEMA_VERSION,
+        DEFAULT_CACHE_DIR,
+        CacheStats,
+        ResultCache,
+    )
+    from repro.exec.journal import (
+        JOURNAL_SCHEMA,
+        JournalState,
+        SweepJournal,
+        sweep_id_for,
+    )
+    from repro.exec.runner import (
+        CellError,
+        CellTimeout,
+        ParallelRunner,
+        RunStats,
+        SweepError,
+        run_sweep,
+    )
+    from repro.exec.spec import (
+        ExperimentSpec,
+        PartialSweepResult,
+        Scale,
+        SweepCell,
+        resolve_func,
+    )
+    from repro.exec.telemetry import CellTelemetry, SweepTelemetry
+
+#: Public name -> the module that defines it, imported on first access
+#: (PEP 562): ``import repro.exec`` loads no submodule.
+_EXPORTS = {
+    "CACHE_SCHEMA_VERSION": "repro.exec.cache",
+    "CacheStats": "repro.exec.cache",
+    "CellError": "repro.exec.runner",
+    "CellTelemetry": "repro.exec.telemetry",
+    "CellTimeout": "repro.exec.runner",
+    "DEFAULT_CACHE_DIR": "repro.exec.cache",
+    "ExperimentSpec": "repro.exec.spec",
+    "JOURNAL_SCHEMA": "repro.exec.journal",
+    "JournalState": "repro.exec.journal",
+    "ParallelRunner": "repro.exec.runner",
+    "PartialSweepResult": "repro.exec.spec",
+    "ResultCache": "repro.exec.cache",
+    "RunStats": "repro.exec.runner",
+    "Scale": "repro.exec.spec",
+    "SweepCell": "repro.exec.spec",
+    "SweepError": "repro.exec.runner",
+    "SweepJournal": "repro.exec.journal",
+    "SweepTelemetry": "repro.exec.telemetry",
+    "resolve_func": "repro.exec.spec",
+    "run_sweep": "repro.exec.runner",
+    "sweep_id_for": "repro.exec.journal",
+}
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -77,3 +113,11 @@ __all__ = [
     "run_sweep",
     "sweep_id_for",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(module), name)
+    return value

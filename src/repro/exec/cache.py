@@ -10,9 +10,13 @@ codecs from :mod:`repro.experiments.serialize`.
 
 Robustness rules:
 
-* any unreadable/undecodable entry (truncated write, foreign schema,
-  unregistered result type) is treated as a miss, best-effort deleted,
-  and counted in :attr:`CacheStats.errors` — the cell simply re-runs;
+* any unreadable/undecodable entry (truncated write, foreign schema)
+  is treated as a miss, best-effort deleted, and counted in
+  :attr:`CacheStats.errors` — the cell simply re-runs;
+* an entry whose result type is not registered in this process is
+  counted the same way but stays on disk: it is valid, only this
+  process cannot rebuild it
+  (:class:`~repro.experiments.serialize.UnknownResultTypeError`);
 * entries are written atomically (temp file + ``os.replace``) so
   concurrent writers — e.g. two CLI invocations sharing a cache
   directory — can never expose a half-written entry;
@@ -106,8 +110,14 @@ class ResultCache:
 
         A corrupted or undecodable entry counts as a miss (and an
         error): the file is removed so the re-run can heal the cache.
+        An entry of an unregistered result type is counted alike but
+        stays: another process (or this one, once the type's module is
+        imported) can still decode it.
         """
-        from repro.experiments.serialize import decode_result
+        from repro.experiments.serialize import (
+            UnknownResultTypeError,
+            decode_result,
+        )
 
         path = self.path_for(cell)
         try:
@@ -118,6 +128,10 @@ class ResultCache:
         try:
             blob = json.loads(raw)
             value = decode_result(blob["result"])
+        except UnknownResultTypeError:
+            self.stats.errors += 1
+            self.stats.misses += 1
+            return False, None
         except (ValueError, LookupError, TypeError):
             self.stats.errors += 1
             self.stats.misses += 1

@@ -38,14 +38,21 @@ Failure policy (a sweep farm must degrade, not die):
 
 from __future__ import annotations
 
-import multiprocessing
-import signal
 import time
-import traceback as _traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.exec.cache import ResultCache
 from repro.exec.spec import ExperimentSpec, SweepCell, resolve_func
@@ -54,11 +61,12 @@ from repro.exec.telemetry import (
     SweepTelemetry,
     summaries_from_records,
 )
-from repro.net.packet import reset_uid_counter
-from repro.obs.export import key_to_str
-from repro.obs.instrument import Instrumentation, ambient
-from repro.obs.trace import TraceEvent
 from repro.sim.rng import derive_child_seed
+
+if TYPE_CHECKING:
+    import multiprocessing.context
+
+    from repro.obs.trace import TraceEvent
 
 
 class CellTimeout(Exception):
@@ -129,7 +137,7 @@ _Payload = Tuple[
 ]
 #: What a collecting cell observed: its metric and fault repro.obs/v1
 #: records as plain dicts, its packet events as the tracer's tuples.
-_Observed = Tuple[List[Dict[str, Any]], List[TraceEvent]]
+_Observed = Tuple[List[Dict[str, Any]], List["TraceEvent"]]
 #: What comes back: (index, failure-or-None, value, attempts, wall_time,
 #: observed) where failure is (error name, message, traceback,
 #: timed_out) and observed is None when collection was off.
@@ -158,6 +166,8 @@ def _alarm(seconds: Optional[float]):
     if disarming raises, and a pending outer interval timer is re-armed
     with its remaining time instead of being silently cancelled.
     """
+    import signal
+
     if seconds is None or not hasattr(signal, "SIGALRM"):
         yield
         return
@@ -240,6 +250,9 @@ def _execute_payload_guarded(payload: _Payload) -> _Outcome:
             func = resolve_func(func_path)
             with _cell_checkpoint(checkpoint):
                 if collect:
+                    from repro.net.packet import reset_uid_counter
+                    from repro.obs.instrument import Instrumentation, ambient
+
                     reset_uid_counter()  # a trace is the cell's, not the process's
                     instrumentation = Instrumentation(trace=collect_trace)
                     with ambient(instrumentation):
@@ -258,11 +271,13 @@ def _execute_payload_guarded(payload: _Payload) -> _Outcome:
             return index, None, value, attempt + 1, wall, observed
         # lint: allow-broad-except(worker guard must capture every cell failure as CellError data, never crash the pool)
         except Exception as exc:
+            import traceback
+
             timed_out = isinstance(exc, CellTimeout)
             failure = (
                 type(exc).__name__,
                 str(exc),
-                _traceback.format_exc(),
+                traceback.format_exc(),
                 timed_out,
             )
             if checkpoint is not None:
@@ -280,7 +295,16 @@ def _execute_payload_guarded(payload: _Payload) -> _Outcome:
         attempt += 1
 
 
+def _tag(key: Any) -> str:
+    """A cell key as the string that journal entries and records carry."""
+    from repro.obs.export import key_to_str
+
+    return key_to_str(key)
+
+
 def _default_context() -> multiprocessing.context.BaseContext:
+    import multiprocessing
+
     # fork keeps the already-imported package in the children (fast,
     # and the norm on Linux); spawn is the portable fallback.
     methods = multiprocessing.get_all_start_methods()
@@ -418,12 +442,6 @@ class ParallelRunner:
         if len(set(keys)) != len(keys):
             raise ValueError(f"sweep cells must have unique keys, got {keys!r}")
 
-        # Fail fast on typos: resolve every cell function *before* any
-        # cache read or pool fork, so a bad path is one clear error
-        # instead of N identical worker tracebacks.
-        for func_path in dict.fromkeys(cell.func for cell in cells):
-            resolve_func(func_path)
-
         results: Dict[Any, Any] = {}
         pending: List[SweepCell] = []
         for cell in cells:
@@ -433,6 +451,15 @@ class ParallelRunner:
                     results[cell.key] = value
                     continue
             pending.append(cell)
+
+        # Fail fast on typos: resolve the function of every cell the
+        # cache did not serve *before* any cache store or pool fork, so
+        # a bad path is one clear error instead of N identical worker
+        # tracebacks.  A served cell needs no function (a typo cannot
+        # hit: ``cell.func`` is part of the cache key), so a cache-warm
+        # sweep never imports the simulator.
+        for func_path in dict.fromkeys(cell.func for cell in pending):
+            resolve_func(func_path)
 
         # Crash-safe bookkeeping: with checkpointing or resume armed, an
         # append-only journal under the cache root records every
@@ -452,7 +479,7 @@ class ParallelRunner:
             )
             journal_state = journal.load()
             journal.open(total=len(cells))
-            pending_keys = [key_to_str(cell.key) for cell in pending]
+            pending_keys = [_tag(cell.key) for cell in pending]
             reconciled = sum(
                 1 for key in pending_keys if key in journal_state.finished
             )
@@ -492,7 +519,7 @@ class ParallelRunner:
                         # the sweep cannot discard this cell's work.
                         self.cache.store(cell, value)
                     if journal is not None:
-                        journal.cell_finished(key_to_str(cell.key), "ok")
+                        journal.cell_finished(_tag(cell.key), "ok")
                 else:
                     error_name, message, trace, cell_timed_out = failure
                     error_text = f"{error_name}: {message}"
@@ -508,7 +535,7 @@ class ParallelRunner:
                     if cell_timed_out:
                         timed_out += 1
                     if journal is not None:
-                        journal.cell_finished(key_to_str(cell.key), "failed")
+                        journal.cell_finished(_tag(cell.key), "failed")
                 cell_stories[cell.key] = CellTelemetry(
                     key=cell.key,
                     cached=False,
@@ -526,7 +553,7 @@ class ParallelRunner:
         traces: List[Tuple[str, List[TraceEvent]]] = []
         for index in sorted(gathered):
             records, events = gathered[index]
-            tag = key_to_str(pending[index].key)
+            tag = _tag(pending[index].key)
             for record in records:
                 record["cell"] = tag
             collected.extend(records)

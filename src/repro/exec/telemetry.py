@@ -18,10 +18,20 @@ export.  Every stream is in cell order, whatever completed first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
-from repro.obs.export import key_to_str, trace_event_record, trace_line
-from repro.obs.trace import TraceEvent
+if TYPE_CHECKING:
+    from repro.obs.trace import TraceEvent
 
 
 @dataclass(frozen=True)
@@ -50,6 +60,8 @@ class CellTelemetry:
 
     def to_record(self) -> Dict[str, Any]:
         """This cell as a ``repro.obs/v1`` ``cell`` record."""
+        from repro.obs.export import key_to_str
+
         return {
             "record": "cell",
             "key": key_to_str(self.key),
@@ -116,11 +128,15 @@ class SweepTelemetry:
     def trace_records(self) -> Iterator[Dict[str, Any]]:
         """The ``--trace-out`` stream (no header), lazily: cell by cell,
         a cell's packet events first and its fault records after."""
+        from repro.obs.export import trace_event_record
+
         return self._trace_stream(trace_event_record)
 
     def trace_lines(self) -> Iterator[Union[str, Dict[str, Any]]]:
         """:meth:`trace_records` as :func:`~repro.obs.export.write_jsonl`
         items: a packet event is its finished line, never a dict."""
+        from repro.obs.export import trace_line
+
         return self._trace_stream(trace_line)
 
     def _trace_stream(self, render: Callable[[TraceEvent, str], Any]) -> Iterator[Any]:

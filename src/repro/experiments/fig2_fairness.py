@@ -11,12 +11,12 @@ throughput plus the per-protocol means.  The expected result: both means
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Mapping, Sequence, Tuple
 
-from repro.core.pr import PrConfig
 from repro.exec.spec import ExperimentSpec, Scale, SweepCell
-from repro.experiments.runner import FairnessResult, run_fairness
-from repro.topologies.dumbbell import DumbbellSpec
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import FairnessResult
 
 #: The flow counts on Figure 2's x-axis.
 PAPER_FLOW_COUNTS: Sequence[int] = (4, 8, 16, 32, 64)
@@ -67,6 +67,10 @@ def run_fig2_cell(
     seed: int,
 ) -> FairnessResult:
     """One independent cell of Figure 2: a fairness run at one flow count."""
+    from repro.core.pr import PrConfig
+    from repro.experiments.runner import run_fairness
+    from repro.topologies.dumbbell import DumbbellSpec
+
     kwargs = {}
     if topology == "dumbbell":
         scale = max(1.0, count / 8.0)

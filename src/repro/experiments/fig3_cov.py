@@ -10,14 +10,13 @@ paper's finding: TCP-PR's CoV tracks TCP-SACK's over the whole range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Mapping, Sequence, Tuple
 
-from repro.core.pr import PrConfig
 from repro.exec.spec import ExperimentSpec, Scale, SweepCell
-from repro.experiments.runner import FairnessResult, run_fairness
-from repro.topologies.dumbbell import DumbbellSpec
-from repro.topologies.parking_lot import ParkingLotSpec
 from repro.util.units import MBPS
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import FairnessResult
 
 #: Bottleneck bandwidth levels (Mbps) used to sweep the loss rate.
 PAPER_BANDWIDTHS_MBPS: Sequence[float] = (10.0, 6.0, 4.0, 2.5, 1.5)
@@ -63,6 +62,11 @@ def run_fig3_cell(
     seed: int,
 ) -> FairnessResult:
     """One cell of Figure 3: a fairness run at one bottleneck bandwidth."""
+    from repro.core.pr import PrConfig
+    from repro.experiments.runner import run_fairness
+    from repro.topologies.dumbbell import DumbbellSpec
+    from repro.topologies.parking_lot import ParkingLotSpec
+
     kwargs = {}
     if topology == "dumbbell":
         kwargs["dumbbell_spec"] = DumbbellSpec(

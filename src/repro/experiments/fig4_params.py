@@ -14,13 +14,13 @@ beta = 10 while parity holds for 1 < beta < 5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Mapping, Sequence, Tuple
 
-from repro.core.pr import PrConfig
 from repro.exec.spec import ExperimentSpec, Scale, SweepCell
-from repro.experiments.runner import FairnessResult, run_fairness
-from repro.topologies.dumbbell import DumbbellSpec
 from repro.util.units import MBPS
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import FairnessResult
 
 PAPER_ALPHAS: Sequence[float] = (0.05, 0.25, 0.5, 0.75, 0.9, 0.995)
 PAPER_BETAS: Sequence[float] = (1.0, 2.0, 3.0, 5.0, 10.0)
@@ -62,6 +62,9 @@ def run_fig4_cell(
     seed: int,
 ) -> FairnessResult:
     """One cell of Figure 4: a fairness run at one (alpha, beta) point."""
+    from repro.core.pr import PrConfig
+    from repro.experiments.runner import run_fairness
+
     return run_fairness(
         topology=topology,
         total_flows=total_flows,
@@ -186,6 +189,10 @@ def run_beta_sweep_cell(
     seed: int,
 ) -> FairnessResult:
     """One cell of the extreme-loss sweep: a high-contention run at one beta."""
+    from repro.core.pr import PrConfig
+    from repro.experiments.runner import run_fairness
+    from repro.topologies.dumbbell import DumbbellSpec
+
     return run_fairness(
         topology="dumbbell",
         total_flows=total_flows,

@@ -16,19 +16,25 @@ at ε = 500 (single path) everyone is equal, and everyone is slower at
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
-
-from repro.app.bulk import BulkTransfer
-from repro.checkpoint import checkpointable
-from repro.core.pr import PrConfig
-from repro.exec.spec import ExperimentSpec, Scale, SweepCell
-from repro.obs import maybe_observe
-from repro.tcp.base import TcpConfig
-from repro.topologies.multipath_mesh import (
-    MultipathMeshSpec,
-    install_epsilon_routing,
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    ClassVar,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
 )
+
+from repro.exec.spec import ExperimentSpec, Scale, SweepCell
 from repro.util.units import MBPS, MS
+
+if TYPE_CHECKING:
+    from repro.core.pr import PrConfig
+    from repro.tcp.base import TcpConfig
+    from repro.topologies.multipath_mesh import MultipathMeshSpec
 
 #: The ε values on Figure 6's x-axis groups.
 PAPER_EPSILONS: Sequence[float] = (0.0, 1.0, 4.0, 10.0, 500.0)
@@ -88,6 +94,16 @@ def run_single_multipath_flow(
     build-and-run; under a plan (the executor's ``--checkpoint-every``)
     the flow snapshots periodically and resumes mid-run after a crash.
     """
+    from repro.app.bulk import BulkTransfer
+    from repro.checkpoint import checkpointable
+    from repro.core.pr import PrConfig
+    from repro.obs import maybe_observe
+    from repro.tcp.base import TcpConfig
+    from repro.topologies.multipath_mesh import (
+        MultipathMeshSpec,
+        install_epsilon_routing,
+    )
+
     if tcp_config is None:
         tcp_config = TcpConfig(initial_ssthresh=DEFAULT_INITIAL_SSTHRESH)
     if pr_config is None:

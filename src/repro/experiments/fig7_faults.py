@@ -27,28 +27,23 @@ below the surviving capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    ClassVar,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.app.bulk import BulkTransfer
-from repro.core.pr import PrConfig
 from repro.exec.spec import ExperimentSpec, Scale, SweepCell
-from repro.faults.injector import Injector
-from repro.faults.schedule import (
-    AckLoss,
-    DelaySpike,
-    FaultEvent,
-    FaultSchedule,
-    LinkDown,
-    LinkUp,
-    PathBlackout,
-)
-from repro.obs import maybe_observe
-from repro.tcp.base import TcpConfig
-from repro.topologies.multipath_mesh import (
-    MultipathMeshSpec,
-    install_epsilon_routing,
-)
 from repro.util.units import MBPS, MS
+
+if TYPE_CHECKING:
+    from repro.faults.schedule import FaultEvent, FaultSchedule
 
 #: Protocols compared (TCP-PR vs the classic DUPACK baseline).
 PAPER_PROTOCOLS: Sequence[str] = ("tcp-pr", "newreno")
@@ -84,6 +79,15 @@ def outage_schedule(
     for ``min(1, outage)`` s.  ``outage = 0`` yields an empty schedule
     (the fault-free baseline cell).
     """
+    from repro.faults.schedule import (
+        AckLoss,
+        DelaySpike,
+        FaultSchedule,
+        LinkDown,
+        LinkUp,
+        PathBlackout,
+    )
+
     events: List[FaultEvent] = []
     if outage <= 0:
         return FaultSchedule(events)
@@ -157,6 +161,17 @@ def run_fig7_cell(
     (injector armed before the flow) is part of the cached results'
     event ordering and must not change.
     """
+    from repro.app.bulk import BulkTransfer
+    from repro.core.pr import PrConfig
+    from repro.faults.injector import Injector
+    from repro.faults.schedule import FaultSchedule
+    from repro.obs import maybe_observe
+    from repro.tcp.base import TcpConfig
+    from repro.topologies.multipath_mesh import (
+        MultipathMeshSpec,
+        install_epsilon_routing,
+    )
+
     mesh_spec = MultipathMeshSpec(link_delay=link_delay, seed=seed)
     net = mesh_spec.build().network
     install_epsilon_routing(net, epsilon=0.0, reorder_acks=True)

@@ -5,29 +5,29 @@ A *fairness scenario* runs an equal number of flows of two protocols
 destination over a chosen topology, measures each flow's goodput over the
 last ``measure_window`` seconds, and reports the paper's fairness
 metrics.
+
+:class:`FairnessResult` is what Figures 2-4 cache, so this module loads
+no simulator code until a scenario is built: a cache-warm sweep decodes
+the result without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.analysis.fairness import (
-    coefficient_of_variation,
-    mean_normalized_throughput,
-    normalized_throughputs,
-)
-from repro.app.bulk import BulkTransfer
-from repro.core.pr import PrConfig
 from repro.experiments.serialize import register_result_type
-from repro.net.network import Network
-from repro.tcp.base import TcpConfig
-from repro.topologies.base import Topology
-from repro.topologies.dumbbell import DumbbellSpec
-from repro.topologies.parking_lot import CROSS_TRAFFIC_PAIRS, ParkingLotSpec
-from repro.obs import maybe_observe
-from repro.obs.monitors import FlowThroughputMonitor
 from repro.util.units import MBPS
+
+if TYPE_CHECKING:
+    from repro.app.bulk import BulkTransfer
+    from repro.core.pr import PrConfig
+    from repro.net.network import Network
+    from repro.obs.monitors import FlowThroughputMonitor
+    from repro.tcp.base import TcpConfig
+    from repro.topologies.base import Topology
+    from repro.topologies.dumbbell import DumbbellSpec
+    from repro.topologies.parking_lot import ParkingLotSpec
 
 
 @dataclass
@@ -93,6 +93,14 @@ def build_fairness_scenario(
     Figure 1's (CSi, CDj) pairs.  Flow start times are staggered
     uniformly over ``start_stagger`` seconds to avoid phase effects.
     """
+    from repro.app.bulk import BulkTransfer
+    from repro.core.pr import PrConfig
+    from repro.obs import maybe_observe
+    from repro.obs.monitors import FlowThroughputMonitor
+    from repro.tcp.base import TcpConfig
+    from repro.topologies.dumbbell import DumbbellSpec
+    from repro.topologies.parking_lot import CROSS_TRAFFIC_PAIRS, ParkingLotSpec
+
     if total_flows < 2 or total_flows % 2 != 0:
         raise ValueError(f"total_flows must be even and >= 2, got {total_flows}")
 
@@ -175,6 +183,12 @@ def run_fairness_scenario(
     measure_window: float = 60.0,
 ) -> FairnessResult:
     """Run a built scenario and compute the fairness metrics."""
+    from repro.analysis.fairness import (
+        coefficient_of_variation,
+        mean_normalized_throughput,
+        normalized_throughputs,
+    )
+
     if measure_window >= duration:
         raise ValueError("measure_window must be shorter than duration")
     network = scenario.network

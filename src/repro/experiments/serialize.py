@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from importlib import import_module
 from pathlib import Path
 from typing import Any, Dict, Type
 
@@ -73,6 +74,24 @@ def dump_result(result: Any, path: "str | Path", indent: int = 2) -> Path:
 #: Dataclasses the cache may reconstruct, by qualified name.
 _RESULT_TYPES: Dict[str, Type] = {}
 
+#: Where each of the package's own registered result types is defined:
+#: :func:`decode_result` imports that module on first sight of the tag,
+#: so a process that never imported the cell code (a cache-warm sweep)
+#: still rebuilds the type.  Each module must stay free of simulator
+#: imports at module level.
+_RESULT_TYPE_MODULES: Dict[str, str] = {
+    "FairnessResult": "repro.experiments.runner",
+}
+
+
+class UnknownResultTypeError(KeyError):
+    """A cached result carries a type tag no registered dataclass has.
+
+    The entry is valid, just not decodable in this process (its type's
+    module was never imported); :class:`~repro.exec.cache.ResultCache`
+    reports a miss and leaves the file in place.
+    """
+
 
 def register_result_type(cls: Type) -> Type:
     """Register a result dataclass for cache round-tripping.
@@ -125,8 +144,11 @@ def decode_result(blob: Dict[str, Any]) -> Any:
     if type_name is None:
         return data
     cls = _RESULT_TYPES.get(type_name)
+    if cls is None and type_name in _RESULT_TYPE_MODULES:
+        import_module(_RESULT_TYPE_MODULES[type_name])  # registers it
+        cls = _RESULT_TYPES.get(type_name)
     if cls is None:
-        raise KeyError(
+        raise UnknownResultTypeError(
             f"result type {type_name!r} is not registered; "
             "cannot reconstruct the cached value"
         )

@@ -23,38 +23,73 @@ Submodules:
 * :mod:`repro.obs.export` — the ``repro.obs/v1`` JSONL/CSV schema.
 """
 
-from repro.obs.export import (
-    SCHEMA,
-    JsonlAppender,
-    read_jsonl,
-    recover_jsonl_tail,
-    summarize_records,
-    write_csv,
-    write_jsonl,
-)
-from repro.obs.instrument import (
-    Instrumentation,
-    ambient,
-    get_ambient,
-    maybe_observe,
-    observe,
-    set_ambient,
-)
-from repro.obs.monitors import (
-    CwndMonitor,
-    FaultTimelineMonitor,
-    FlowThroughputMonitor,
-    QueueMonitor,
-)
-from repro.obs.registry import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timeseries,
-)
-from repro.obs.trace import FaultRecord, PacketTracer, TraceEvent
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.obs.export import (
+        SCHEMA,
+        JsonlAppender,
+        read_jsonl,
+        recover_jsonl_tail,
+        summarize_records,
+        write_csv,
+        write_jsonl,
+    )
+    from repro.obs.instrument import (
+        Instrumentation,
+        ambient,
+        get_ambient,
+        maybe_observe,
+        observe,
+        set_ambient,
+    )
+    from repro.obs.monitors import (
+        CwndMonitor,
+        FaultTimelineMonitor,
+        FlowThroughputMonitor,
+        QueueMonitor,
+    )
+    from repro.obs.registry import (
+        DEFAULT_BUCKETS,
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+        Timeseries,
+    )
+    from repro.obs.trace import FaultRecord, PacketTracer, TraceEvent
+
+#: Public name -> the module that defines it, imported on first access
+#: (PEP 562): ``import repro.obs`` loads no submodule.
+_EXPORTS = {
+    "Counter": "repro.obs.registry",
+    "CwndMonitor": "repro.obs.monitors",
+    "DEFAULT_BUCKETS": "repro.obs.registry",
+    "FaultRecord": "repro.obs.trace",
+    "FaultTimelineMonitor": "repro.obs.monitors",
+    "FlowThroughputMonitor": "repro.obs.monitors",
+    "Gauge": "repro.obs.registry",
+    "Histogram": "repro.obs.registry",
+    "Instrumentation": "repro.obs.instrument",
+    "JsonlAppender": "repro.obs.export",
+    "MetricsRegistry": "repro.obs.registry",
+    "PacketTracer": "repro.obs.trace",
+    "QueueMonitor": "repro.obs.monitors",
+    "SCHEMA": "repro.obs.export",
+    "Timeseries": "repro.obs.registry",
+    "TraceEvent": "repro.obs.trace",
+    "ambient": "repro.obs.instrument",
+    "get_ambient": "repro.obs.instrument",
+    "maybe_observe": "repro.obs.instrument",
+    "observe": "repro.obs.instrument",
+    "read_jsonl": "repro.obs.export",
+    "recover_jsonl_tail": "repro.obs.export",
+    "set_ambient": "repro.obs.instrument",
+    "summarize_records": "repro.obs.export",
+    "write_csv": "repro.obs.export",
+    "write_jsonl": "repro.obs.export",
+}
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -84,3 +119,11 @@ __all__ = [
     "write_csv",
     "write_jsonl",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(module), name)
+    return value

@@ -22,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Set
 
-from repro.net.packet import Packet
-
 if TYPE_CHECKING:
     from repro.net.link import Link
     from repro.net.node import Node
+    from repro.net.packet import Packet
 
 
 class TraceEvent(NamedTuple):

@@ -16,11 +16,29 @@ Example:
     [1.5]
 """
 
-from repro.sim.engine import Simulator
-from repro.sim.errors import ScheduleInPastError, SimulationError
-from repro.sim.events import EventHandle
-from repro.sim.profile import GroupStats, SimStats, group_label
-from repro.sim.rng import RngRegistry, derive_child_seed
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.sim.engine import Simulator
+    from repro.sim.errors import ScheduleInPastError, SimulationError
+    from repro.sim.events import EventHandle
+    from repro.sim.profile import GroupStats, SimStats, group_label
+    from repro.sim.rng import RngRegistry, derive_child_seed
+
+#: Public name -> the module that defines it, imported on first access
+#: (PEP 562): ``import repro.sim`` loads no submodule.
+_EXPORTS = {
+    "EventHandle": "repro.sim.events",
+    "GroupStats": "repro.sim.profile",
+    "RngRegistry": "repro.sim.rng",
+    "ScheduleInPastError": "repro.sim.errors",
+    "SimStats": "repro.sim.profile",
+    "SimulationError": "repro.sim.errors",
+    "Simulator": "repro.sim.engine",
+    "derive_child_seed": "repro.sim.rng",
+    "group_label": "repro.sim.profile",
+}
 
 __all__ = [
     "EventHandle",
@@ -33,3 +51,11 @@ __all__ = [
     "SimulationError",
     "Simulator",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(module), name)
+    return value

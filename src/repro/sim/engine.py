@@ -68,10 +68,11 @@ _COMPILED_SIMULATOR: Optional[type] = None
 
 
 def _resolve_engine() -> Optional[type]:
-    """First-construction engine resolution (``REPRO_ENGINE``, default auto)."""
+    """Install the active engine build (resolved from ``REPRO_ENGINE``,
+    default auto, when none was chosen) and return its compiled class."""
     from repro.core import engine_select
 
-    engine_select.active()
+    engine_select.install()
     return _COMPILED_SIMULATOR
 
 

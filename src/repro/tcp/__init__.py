@@ -21,26 +21,56 @@ The receiver (:class:`TcpReceiver`) is shared by every sender, including
 TCP-PR: cumulative ACKs, optional SACK blocks, optional DSACK reporting.
 """
 
-from repro.tcp.base import TcpConfig, TcpSenderBase
-from repro.tcp.door import DoorSender
-from repro.tcp.dsack_response import (
-    DsackSender,
-    DupthreshPolicy,
-    EwmaPolicy,
-    IncrementByOnePolicy,
-    IncrementToAveragePolicy,
-    NoMitigationPolicy,
-)
-from repro.tcp.eifel import EifelSender
-from repro.tcp.newreno import NewRenoSender
-from repro.tcp.receiver import TcpReceiver
-from repro.tcp.registry import available_variants, make_sender
-from repro.tcp.reno import RenoSender
-from repro.tcp.rrtcp import PercentilePolicy, RrTcpSender
-from repro.tcp.rto import RtoEstimator
-from repro.tcp.sack import SackSender
-from repro.tcp.scoreboard import Scoreboard
-from repro.tcp.tdfr import TdfrSender
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.tcp.base import TcpConfig, TcpSenderBase
+    from repro.tcp.door import DoorSender
+    from repro.tcp.dsack_response import (
+        DsackSender,
+        DupthreshPolicy,
+        EwmaPolicy,
+        IncrementByOnePolicy,
+        IncrementToAveragePolicy,
+        NoMitigationPolicy,
+    )
+    from repro.tcp.eifel import EifelSender
+    from repro.tcp.newreno import NewRenoSender
+    from repro.tcp.receiver import TcpReceiver
+    from repro.tcp.registry import available_variants, make_sender
+    from repro.tcp.reno import RenoSender
+    from repro.tcp.rrtcp import PercentilePolicy, RrTcpSender
+    from repro.tcp.rto import RtoEstimator
+    from repro.tcp.sack import SackSender
+    from repro.tcp.scoreboard import Scoreboard
+    from repro.tcp.tdfr import TdfrSender
+
+#: Public name -> the module that defines it, imported on first access
+#: (PEP 562): ``import repro.tcp`` loads no submodule.
+_EXPORTS = {
+    "DoorSender": "repro.tcp.door",
+    "DsackSender": "repro.tcp.dsack_response",
+    "DupthreshPolicy": "repro.tcp.dsack_response",
+    "EifelSender": "repro.tcp.eifel",
+    "EwmaPolicy": "repro.tcp.dsack_response",
+    "IncrementByOnePolicy": "repro.tcp.dsack_response",
+    "IncrementToAveragePolicy": "repro.tcp.dsack_response",
+    "NewRenoSender": "repro.tcp.newreno",
+    "NoMitigationPolicy": "repro.tcp.dsack_response",
+    "PercentilePolicy": "repro.tcp.rrtcp",
+    "RenoSender": "repro.tcp.reno",
+    "RrTcpSender": "repro.tcp.rrtcp",
+    "RtoEstimator": "repro.tcp.rto",
+    "SackSender": "repro.tcp.sack",
+    "Scoreboard": "repro.tcp.scoreboard",
+    "TcpConfig": "repro.tcp.base",
+    "TcpReceiver": "repro.tcp.receiver",
+    "TcpSenderBase": "repro.tcp.base",
+    "TdfrSender": "repro.tcp.tdfr",
+    "available_variants": "repro.tcp.registry",
+    "make_sender": "repro.tcp.registry",
+}
 
 __all__ = [
     "DoorSender",
@@ -65,3 +95,11 @@ __all__ = [
     "available_variants",
     "make_sender",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(module), name)
+    return value

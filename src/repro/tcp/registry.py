@@ -8,53 +8,45 @@ either spelling to a configured sender instance.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
-
-from repro.core.pr import PrConfig, TcpPrSender
-from repro.tcp.base import TcpConfig
-from repro.tcp.door import DoorSender
-from repro.tcp.dsack_response import (
-    DsackSender,
-    EwmaPolicy,
-    IncrementByOnePolicy,
-    IncrementToAveragePolicy,
-    NoMitigationPolicy,
-)
-from repro.tcp.eifel import EifelSender
-from repro.tcp.newreno import NewRenoSender
-from repro.tcp.reno import RenoSender
-from repro.tcp.rrtcp import RrTcpSender
-from repro.tcp.sack import SackSender
-from repro.tcp.tdfr import TdfrSender
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 if TYPE_CHECKING:
+    from repro.core.pr import PrConfig
     from repro.net.node import Node
     from repro.sim.engine import Simulator
+    from repro.tcp.base import TcpConfig
 
-#: Canonical variant name -> factory(sim, node, flow_id, peer, tcp_config).
-_FACTORIES: Dict[str, Callable] = {
-    "reno": lambda sim, node, fid, peer, cfg: RenoSender(sim, node, fid, peer, cfg),
-    "newreno": lambda sim, node, fid, peer, cfg: NewRenoSender(
-        sim, node, fid, peer, cfg
+#: Canonical variant name -> (``"module:SenderClass"``, the dupthresh
+#: policy class in that module or None).  Nothing here imports a sender:
+#: :func:`make_sender` imports one the first time its name is built, so
+#: listing the variants loads no sender module.
+_VARIANTS: Dict[str, Tuple[str, Optional[str]]] = {
+    "tcp-pr": ("repro.core.pr:TcpPrSender", None),
+    "reno": ("repro.tcp.reno:RenoSender", None),
+    "newreno": ("repro.tcp.newreno:NewRenoSender", None),
+    "sack": ("repro.tcp.sack:SackSender", None),
+    "tdfr": ("repro.tcp.tdfr:TdfrSender", None),
+    "dsack-nm": ("repro.tcp.dsack_response:DsackSender", "NoMitigationPolicy"),
+    "inc-by-1": ("repro.tcp.dsack_response:DsackSender", "IncrementByOnePolicy"),
+    "inc-by-n": (
+        "repro.tcp.dsack_response:DsackSender",
+        "IncrementToAveragePolicy",
     ),
-    "sack": lambda sim, node, fid, peer, cfg: SackSender(sim, node, fid, peer, cfg),
-    "tdfr": lambda sim, node, fid, peer, cfg: TdfrSender(sim, node, fid, peer, cfg),
-    "dsack-nm": lambda sim, node, fid, peer, cfg: DsackSender(
-        sim, node, fid, peer, cfg, policy=NoMitigationPolicy()
-    ),
-    "inc-by-1": lambda sim, node, fid, peer, cfg: DsackSender(
-        sim, node, fid, peer, cfg, policy=IncrementByOnePolicy()
-    ),
-    "inc-by-n": lambda sim, node, fid, peer, cfg: DsackSender(
-        sim, node, fid, peer, cfg, policy=IncrementToAveragePolicy()
-    ),
-    "ewma": lambda sim, node, fid, peer, cfg: DsackSender(
-        sim, node, fid, peer, cfg, policy=EwmaPolicy()
-    ),
-    "eifel": lambda sim, node, fid, peer, cfg: EifelSender(sim, node, fid, peer, cfg),
-    "door": lambda sim, node, fid, peer, cfg: DoorSender(sim, node, fid, peer, cfg),
-    "rr-tcp": lambda sim, node, fid, peer, cfg: RrTcpSender(sim, node, fid, peer, cfg),
+    "ewma": ("repro.tcp.dsack_response:DsackSender", "EwmaPolicy"),
+    "eifel": ("repro.tcp.eifel:EifelSender", None),
+    "door": ("repro.tcp.door:DoorSender", None),
+    "rr-tcp": ("repro.tcp.rrtcp:RrTcpSender", None),
 }
+
+#: A resolved variant: (sender class, policy class or None, takes a
+#: :class:`~repro.core.pr.PrConfig` rather than a ``TcpConfig``).
+_Resolved = Tuple[Callable[..., Any], Optional[Callable[[], Any]], bool]
+
+#: Name exactly as passed to :func:`make_sender` -> its resolved
+#: variant: a fat-tree scenario builds tens of thousands of senders and
+#: must not re-resolve the name for each.
+_RESOLVED: Dict[str, _Resolved] = {}
 
 #: Figure-label spellings accepted as aliases.
 _ALIASES: Dict[str, str] = {
@@ -77,7 +69,7 @@ def canonical_name(name: str) -> str:
     """Resolve aliases and figure labels to a canonical variant name."""
     key = name.strip().lower()
     key = _ALIASES.get(key, key)
-    if key != "tcp-pr" and key not in _FACTORIES:
+    if key not in _VARIANTS:
         raise ValueError(
             f"unknown TCP variant {name!r}; available: {available_variants()}"
         )
@@ -86,7 +78,20 @@ def canonical_name(name: str) -> str:
 
 def available_variants() -> list[str]:
     """All accepted canonical variant names."""
-    return sorted([*_FACTORIES, "tcp-pr"])
+    return sorted(_VARIANTS)
+
+
+def _resolve(name: str) -> _Resolved:
+    """Import ``name``'s sender (and policy) class, once per name."""
+    key = canonical_name(name)
+    path, policy_name = _VARIANTS[key]
+    module_name, _, class_name = path.partition(":")
+    module = import_module(module_name)
+    policy = getattr(module, policy_name) if policy_name is not None else None
+    resolved = _RESOLVED[name] = (
+        getattr(module, class_name), policy, key == "tcp-pr"
+    )
+    return resolved
 
 
 def make_sender(
@@ -95,8 +100,8 @@ def make_sender(
     node: "Node",
     flow_id: int,
     peer: str,
-    tcp_config: Optional[TcpConfig] = None,
-    pr_config: Optional[PrConfig] = None,
+    tcp_config: Optional["TcpConfig"] = None,
+    pr_config: Optional["PrConfig"] = None,
 ):
     """Build a sender of the named variant attached to ``node``.
 
@@ -109,7 +114,11 @@ def make_sender(
         A :class:`~repro.tcp.base.TcpSenderBase` or
         :class:`~repro.core.pr.TcpPrSender` instance.
     """
-    key = canonical_name(name)
-    if key == "tcp-pr":
-        return TcpPrSender(sim, node, flow_id, peer, pr_config)
-    return _FACTORIES[key](sim, node, flow_id, peer, tcp_config)
+    resolved = _RESOLVED.get(name)
+    if resolved is None:
+        resolved = _resolve(name)
+    cls, policy, takes_pr_config = resolved
+    if policy is not None:
+        return cls(sim, node, flow_id, peer, tcp_config, policy=policy())
+    config = pr_config if takes_pr_config else tcp_config
+    return cls(sim, node, flow_id, peer, config)

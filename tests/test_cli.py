@@ -104,6 +104,31 @@ def test_non_positive_duration_is_a_usage_error(argv, no_cells, capsys):
     assert "must be > 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig2", "--flows", "4", "--duration", "30"],  # the preset window, 30
+    ["fig3", "--bandwidths", "10", "--duration", "5", "--window", "9"],
+    ["fig4", "--alphas", "0.99", "--betas", "3", "--duration", "5",
+     "--window", "5"],
+])
+def test_window_not_shorter_than_duration_is_a_usage_error(
+    argv, no_cells, monkeypatch, capsys
+):
+    from repro.exec.runner import ParallelRunner
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a runner was built")
+
+    monkeypatch.setattr(ParallelRunner, "__init__", refuse)
+    err = _usage_error([*argv, "--no-cache"], capsys)
+    assert err.startswith(f"usage: repro-experiments {argv[0]} ")
+    assert "must be shorter than --duration" in err
+
+
+def test_window_usage_error_names_a_preset_value(no_cells, capsys):
+    err = _usage_error(["fig2", "--duration", "30", "--no-cache"], capsys)
+    assert "--window (30 s, preset) must be shorter than --duration (30 s)" in err
+
+
 # ----------------------------------------------------------------------
 # Executor flags: --jobs / --no-cache / --cache-dir / --json
 # ----------------------------------------------------------------------

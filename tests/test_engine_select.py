@@ -11,13 +11,19 @@ The contract under test:
   the classes new ``Simulator()`` calls produce and restores the prior
   selection — including the environment variable — on exit;
 * pickles are engine-portable: an instance pickled under either build
-  loads as an instance of whichever build is active at load time.
+  loads as an instance of whichever build is active at load time;
+* choosing a build imports no hot-core module: the first construction
+  installs it, in the process that chose it and in a forked worker.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pickle  # lint: allow-pickle(exercises the engine-portable pickle round-trip on purpose)
+
+import subprocess
+import sys
 
 import pytest
 
@@ -164,3 +170,97 @@ def test_pickles_load_on_either_build(src, dst):
     # One event fired pre-pickle, the survivor fires post-load; the
     # counter accumulates across runs and must survive the round trip.
     assert sim.dispatched_events == 2
+
+
+# ----------------------------------------------------------------------
+# Deferred install (fresh interpreters: this one imported the engine)
+# ----------------------------------------------------------------------
+HOT_CORE = (
+    "repro.sim.engine", "repro.net.link", "repro.net.node",
+    engine_select.EXTENSION_MODULE,
+)
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+
+def _fresh(code, cwd):
+    """stdout lines of ``code`` run in a fresh interpreter."""
+    env = dict(os.environ)
+    env.pop(engine_select.ENV_VAR, None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (SRC_DIR, env.get("PYTHONPATH")) if part
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=cwd,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+@pytest.mark.parametrize("mode", ["pure", "auto"])
+def test_activation_imports_no_hot_core_module(mode, tmp_path):
+    lines = _fresh(
+        "import sys; from repro.core import engine_select; "
+        f"engine_select.activate({mode!r}); "
+        f"print([m for m in {HOT_CORE!r} if m in sys.modules])",
+        tmp_path,
+    )
+    assert lines == ["[]"]
+
+
+@needs_compiled
+def test_the_first_construction_after_activation_is_compiled(tmp_path):
+    ext = engine_select.EXTENSION_MODULE
+    lines = _fresh(
+        "import sys\n"
+        "from repro.core import engine_select\n"
+        "engine_select.activate('compiled')\n"
+        f"assert not [m for m in {HOT_CORE!r} if m in sys.modules]\n"
+        "from repro.net.network import Network\n"
+        "from repro.sim.engine import Simulator\n"
+        "net = Network(seed=1)\n"
+        "net.add_nodes('a', 'b')\n"
+        "net.add_duplex_link('a', 'b', bandwidth=1e6, delay=0.01)\n"
+        "print(type(Simulator()).__module__, type(net.sim).__module__,\n"
+        "      type(net.link('a', 'b')).__module__,\n"
+        "      type(net.node('a')).__module__)\n"
+        "engine_select.activate('pure')\n"
+        "print(type(Simulator()).__module__,\n"
+        "      type(Network(seed=1).sim).__module__)\n",
+        tmp_path,
+    )
+    assert lines == [f"{ext} {ext} {ext} {ext}", "repro.sim.engine repro.sim.engine"]
+
+
+@needs_compiled
+def test_a_fig6_worker_installs_the_engine_the_parent_chose(tmp_path):
+    """``--jobs 2 --engine compiled``: the parent never imports the
+    engine; each forked worker imports it inside its first cell and
+    must still build the compiled simulator."""
+    argv = [
+        "fig6", "--protocols", "tcp-pr", "--epsilons", "0", "500",
+        "--duration", "1", "--jobs", "2", "--engine", "compiled",
+        "--no-cache",
+    ]
+    _fresh(
+        "import json, os, sys\n"
+        "from repro.cli import main\n"
+        "from repro.experiments import fig6_multipath\n"
+        "cell = fig6_multipath.run_fig6_cell\n"
+        "def spy(**kwargs):\n"
+        "    first = 'repro.sim.engine' not in sys.modules\n"
+        "    value = cell(**kwargs)\n"
+        "    from repro.sim.engine import Simulator\n"
+        "    path = f'worker-{os.getpid()}.json'\n"
+        "    if not os.path.exists(path):\n"
+        "        with open(path, 'w') as handle:\n"
+        "            json.dump([first, type(Simulator()).__module__], handle)\n"
+        "    return value\n"
+        "fig6_multipath.run_fig6_cell = spy\n"
+        f"assert main({argv!r}) == 0\n"
+        "assert 'repro.sim.engine' not in sys.modules\n",
+        tmp_path,
+    )
+    seen = [json.loads(path.read_text()) for path in tmp_path.glob("worker-*.json")]
+    assert seen
+    assert all(row == [True, engine_select.EXTENSION_MODULE] for row in seen)

@@ -1,6 +1,9 @@
 """Tests for the on-disk result cache (repro.exec.cache)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -42,6 +45,18 @@ def _fairness_result(**overrides):
 # ----------------------------------------------------------------------
 def test_fairness_result_is_registered():
     assert registered_result_types()["FairnessResult"] is FairnessResult
+
+
+def test_every_package_result_type_names_its_module():
+    # decode_result imports that module to rebuild a type nobody imported.
+    from repro.experiments.serialize import _RESULT_TYPE_MODULES
+
+    package_types = {
+        name: cls.__module__
+        for name, cls in registered_result_types().items()
+        if cls.__module__.startswith("repro.")
+    }
+    assert package_types == _RESULT_TYPE_MODULES
 
 
 def test_encode_decode_registered_dataclass():
@@ -174,6 +189,57 @@ def test_entry_with_unknown_result_type_recovers_as_miss(tmp_path):
     hit, _ = cache.load(cell)
     assert not hit
     assert cache.stats.errors == 1
+
+
+def test_entry_with_unknown_result_type_stays_on_disk(tmp_path):
+    # Valid in the process that wrote it: only this one cannot decode it.
+    cache = ResultCache(tmp_path)
+    cell = _cell()
+    path = cache.store(cell, 1.0)
+    blob = json.loads(path.read_text())
+    blob["result"]["type"] = "VanishedResultClass"
+    path.write_text(json.dumps(blob))
+    before = path.read_bytes()
+
+    hit, _ = cache.load(cell)
+    assert not hit
+    assert path.read_bytes() == before
+
+
+def test_fairness_entry_decodes_where_only_the_cache_was_imported(tmp_path):
+    """A cache-warm fig2 runs in a process that never imported the cell
+    code; its FairnessResult entries must still decode there, and stay."""
+    cell = _cell()
+    path = ResultCache(tmp_path).store(cell, _fairness_result())
+    before = path.read_bytes()
+    code = (
+        "import sys, types\n"
+        "from repro.exec.cache import ResultCache\n"
+        f"cell = types.SimpleNamespace(func={cell.func!r}, "
+        f"params={dict(cell.params)!r}, seed={cell.seed!r})\n"
+        f"cache = ResultCache({str(tmp_path)!r})\n"
+        "hit, value = cache.load(cell)\n"
+        "assert hit and cache.stats.errors == 0, cache.stats\n"
+        "print(type(value).__module__, type(value).__qualname__)\n"
+        "print(value.mean_normalized['sack'], value.loss_rate)\n"
+        "print('repro.sim.engine' in sys.modules, 'repro.app' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "repro.experiments.runner FairnessResult",
+        "1.333 0.0125",
+        "False False",
+    ]
+    assert path.read_bytes() == before
 
 
 def test_entry_missing_result_field_recovers_as_miss(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the variant registry and application-layer sources."""
 
+import importlib
+
 import pytest
 
 from repro.app.bulk import BulkTransfer
@@ -59,6 +61,28 @@ def test_make_sender_policy_wiring():
     sender = make_sender("ewma", net.sim, net.node("a"), 1, "b")
     assert isinstance(sender, DsackSender)
     assert sender.policy.name == "ewma"
+
+
+def test_make_sender_resolves_a_name_once_and_builds_fresh_policies(
+    monkeypatch,
+):
+    from repro.tcp import registry
+
+    imported = []
+
+    def import_module(name):
+        imported.append(name)
+        return importlib.import_module(name)
+
+    monkeypatch.setattr(registry, "import_module", import_module)
+    monkeypatch.setattr(registry, "_RESOLVED", {})
+    net = _simple_net()
+    senders = [
+        make_sender("Inc by 1", net.sim, net.node("a"), flow, "b")
+        for flow in (1, 2, 3)
+    ]
+    assert imported == ["repro.tcp.dsack_response"]
+    assert len({id(sender.policy) for sender in senders}) == 3
 
 
 # ----------------------------------------------------------------------
