@@ -70,7 +70,7 @@ static PyObject *unpickle_node_fn;
 static PyObject *str_heap_high_water, *str_receive, *str_name, *str_agents,
     *str_links, *str_routes, *str_dead_letters, *str_enqueue, *str_push,
     *str_pop, *str_get, *str_delay_for, *str_getstate,
-    *str_notify_drop, *str_run_checkpointed, *str_post_in;
+    *str_notify_drop, *str_post_in;
 
 /* Pure-class slot offsets, resolved from member descriptors at init.   */
 static Py_ssize_t eh_time, eh_seq, eh_callback, eh_label, eh_owner;
@@ -1125,23 +1125,18 @@ csim_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs,
          PyObject *kwnames)
 {
     static const char *const names[] = {
-        "until",          "max_events",       "deadline",
-        "livelock_threshold", "checkpoint_every", "checkpoint_path"};
-    PyObject *a[6];
+        "until", "max_events", "deadline", "livelock_threshold"};
+    PyObject *a[4];
     csim_state *st = CSIM_ST(self);
     int sanitize_true;
     Py_ssize_t i;
-    if (fill_args("run", args, nargs, kwnames, names, 6, 0, a) < 0) {
+    if (fill_args("run", args, nargs, kwnames, names, 4, 0, a) < 0) {
         return NULL;
     }
-    for (i = 0; i < 6; i++) {
+    for (i = 0; i < 4; i++) {
         if (a[i] == NULL) {
             a[i] = Py_None;
         }
-    }
-    if (a[4] != Py_None || a[5] != Py_None) {
-        return PyObject_CallMethodObjArgs(self, str_run_checkpointed, a[0],
-                                          a[1], a[2], a[3], a[4], a[5], NULL);
     }
     sanitize_true =
         st->sanitize == NULL ? 0 : PyObject_IsTrue(st->sanitize);
@@ -2116,7 +2111,6 @@ core_exec(PyObject *module)
         || (str_delay_for = intern_str("delay_for")) == NULL
         || (str_getstate = intern_str("__getstate__")) == NULL
         || (str_notify_drop = intern_str("_notify_drop")) == NULL
-        || (str_run_checkpointed = intern_str("_run_checkpointed")) == NULL
         || (str_post_in = intern_str("post_in")) == NULL) {
         goto fail;
     }

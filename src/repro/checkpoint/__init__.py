@@ -1,30 +1,22 @@
-"""Crash-safe simulator checkpoint/resume (``repro.ckpt/v1``).
+"""Whole-simulator snapshots (``repro.ckpt/v1``).
 
-Public surface:
+The one snapshot API is :meth:`Simulator.save_checkpoint(path)
+<repro.sim.engine.Simulator.save_checkpoint>` and
+:meth:`Simulator.resume(path) <repro.sim.engine.Simulator.resume>`;
+this package implements them:
 
-* :func:`save_checkpoint` / :func:`load_checkpoint` /
-  :func:`inspect_checkpoint` and the :class:`Checkpoint` handle —
-  whole-simulator snapshots with atomic writes, per-section CRCs, and a
-  bit-identical continuation contract (:mod:`repro.checkpoint.snapshot`).
-* The :class:`StatefulComponent` protocol and generic helpers for
-  component-level snapshot/restore (:mod:`repro.checkpoint.state`).
-* :class:`CellPlan` / :func:`cell_plan` / :func:`checkpointable` — the
-  cooperative opt-in that makes sweep cell functions resumable across
-  process death (:mod:`repro.checkpoint.cell`).
-* Typed errors (:mod:`repro.checkpoint.errors`).
+* :func:`save_checkpoint` / :func:`load_checkpoint` and the
+  :class:`Checkpoint` handle — atomic writes, per-section CRCs, and a
+  bit-identical continuation contract (:mod:`repro.checkpoint.snapshot`);
+* the container format (:mod:`repro.checkpoint.format`) and the one
+  pickle site (:mod:`repro.checkpoint.codec`);
+* typed errors (:mod:`repro.checkpoint.errors`).
 
-See ``docs/CHECKPOINT.md`` for the file format, the atomicity story,
-and the resume contract's caveats.
+No command writes checkpoints: a sweep's crash recovery is its result
+cache (a killed sweep run again on the same cache re-runs only the
+unfinished cells).  See ``docs/CHECKPOINT.md``.
 """
 
-from repro.checkpoint.cell import (
-    CellPlan,
-    CellScope,
-    cell_plan,
-    checkpointable,
-    get_plan,
-    set_plan,
-)
 from repro.checkpoint.errors import (
     CheckpointCorruptError,
     CheckpointError,
@@ -33,36 +25,16 @@ from repro.checkpoint.errors import (
 from repro.checkpoint.snapshot import (
     SCHEMA_VERSION,
     Checkpoint,
-    inspect_checkpoint,
     load_checkpoint,
     save_checkpoint,
 )
-from repro.checkpoint.state import (
-    StatefulComponent,
-    restore_globals,
-    restore_object,
-    snapshot_globals,
-    snapshot_object,
-)
 
 __all__ = [
-    "CellPlan",
-    "CellScope",
     "Checkpoint",
     "CheckpointCorruptError",
     "CheckpointError",
     "CheckpointFormatError",
     "SCHEMA_VERSION",
-    "StatefulComponent",
-    "cell_plan",
-    "checkpointable",
-    "get_plan",
-    "inspect_checkpoint",
     "load_checkpoint",
     "save_checkpoint",
-    "set_plan",
-    "snapshot_globals",
-    "snapshot_object",
-    "restore_globals",
-    "restore_object",
 ]

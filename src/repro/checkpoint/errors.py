@@ -1,10 +1,10 @@
 """Typed errors for the checkpoint subsystem.
 
 Every failure mode a caller can act on gets its own class: a corrupt
-file names the failing section (so ``repro ckpt inspect`` and resume
-paths can report *which* CRC failed), a format error means the file is
-not a ``repro.ckpt`` container at all, and the base class covers
-logical misuse (missing components, incompatible schema versions).
+file names the failing section (so a resume can report *which* CRC
+failed), a format error means the file is not a ``repro.ckpt``
+container at all, and the base class covers logical misuse
+(incompatible schema versions).
 """
 
 from __future__ import annotations

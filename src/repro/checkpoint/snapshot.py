@@ -1,26 +1,26 @@
-"""Saving, loading, inspecting, and resuming simulator checkpoints.
+"""Saving, loading and resuming simulator checkpoints.
 
 A checkpoint is a ``repro.ckpt/v1`` container (see
 :mod:`repro.checkpoint.format`) with four sections:
 
 ``meta``
     JSON header: schema version, package version, engine counters
-    (clock, event seq, dispatched/pending events), registered component
-    names, RNG stream names, the next packet uid.  Readable without
-    unpickling anything — this is what ``repro ckpt inspect`` shows.
+    (clock, event seq, dispatched/pending events), RNG stream names,
+    the next packet uid.  Readable without unpickling anything.
 ``globals``
     Process-global counters (today: the packet uid counter) that a
     resume in a *fresh process* must restore before dispatching.
 ``rng``
-    The :class:`~repro.sim.rng.RngRegistry` stream states, standalone.
+    The :class:`~repro.sim.rng.RngRegistry`, standalone.
     Redundant with ``graph`` (the registry rides the object graph) but
     independently CRC'd and decodable, so corruption in the big graph
     section never masquerades as silent RNG divergence.
 ``graph``
     The entire :class:`~repro.sim.engine.Simulator` object graph —
-    heap, seq counter, RNG registry, and every registered component —
-    in one :mod:`repro.checkpoint.codec` payload, preserving shared
-    references (see the codec docstring for why one pass matters).
+    heap, seq counter, RNG registry, every component the heap reaches,
+    and whatever the caller registered by name — in one
+    :mod:`repro.checkpoint.codec` payload, preserving shared references
+    (see the codec docstring for why one pass matters).
 
 The resume contract is **bit-identical continuation**: running to time
 T, checkpointing, and resuming in a new process must produce byte-wise
@@ -37,7 +37,6 @@ from typing import Any, Dict, Mapping, Optional, Union
 from repro.checkpoint import codec
 from repro.checkpoint.errors import CheckpointCorruptError, CheckpointError
 from repro.checkpoint.format import read_container, write_container
-from repro.checkpoint.state import restore_globals, snapshot_globals
 from repro.sim.engine import Simulator
 
 PathLike = Union[str, Path]
@@ -52,7 +51,7 @@ _REQUIRED_SECTIONS = ("meta", "globals", "rng", "graph")
 class Checkpoint:
     """A loaded checkpoint: parsed meta plus the restored object graph."""
 
-    __slots__ = ("path", "meta", "simulator", "_globals_state", "_resumed")
+    __slots__ = ("path", "meta", "simulator", "_globals_state")
 
     def __init__(
         self,
@@ -65,7 +64,6 @@ class Checkpoint:
         self.meta = meta
         self.simulator = simulator
         self._globals_state = globals_state
-        self._resumed = False
 
     def resume(self) -> Simulator:
         """Arm the restored simulator for continuation and return it.
@@ -78,21 +76,16 @@ class Checkpoint:
         restore_globals(self._globals_state)
         if self.simulator.sanitize:
             self.simulator._audit_resume()
-        self._resumed = True
         return self.simulator
 
     def __repr__(self) -> str:
-        return (
-            f"<Checkpoint t={self.meta.get('now')!r} "
-            f"components={len(self.meta.get('components', []))} "
-            f"path={str(self.path)!r}>"
-        )
+        return f"<Checkpoint t={self.meta.get('now')!r} path={str(self.path)!r}>"
 
 
 def save_checkpoint(
     sim: Simulator, path: PathLike, user_meta: Optional[Mapping[str, Any]] = None
 ) -> None:
-    """Atomically snapshot ``sim`` (and its registered components) to ``path``."""
+    """Atomically snapshot ``sim`` (its whole object graph) to ``path``."""
     from repro.core.engine_select import EXTENSION_MODULE
 
     meta: Dict[str, Any] = {
@@ -112,7 +105,6 @@ def save_checkpoint(
         "event_seq": sim.event_seq,
         "dispatched_events": sim.dispatched_events,
         "pending_events": sim.pending_events,
-        "components": list(sim.components),
         "rng_streams": sim.rng.names(),
         "globals": dict(snapshot_globals()),
         "user_meta": dict(user_meta) if user_meta else {},
@@ -120,7 +112,7 @@ def save_checkpoint(
     sections = {
         "meta": json.dumps(meta, sort_keys=True).encode("utf-8"),
         "globals": codec.encode(snapshot_globals()),
-        "rng": codec.encode(sim.rng.snapshot_state()),
+        "rng": codec.encode(sim.rng),
         "graph": codec.encode(sim),
     }
     write_container(path, sections)
@@ -171,23 +163,6 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
     return Checkpoint(path, meta, simulator, globals_state)
 
 
-def inspect_checkpoint(path: PathLike) -> Dict[str, Any]:
-    """Verify integrity and summarize a checkpoint *without* unpickling.
-
-    Returns a JSON-able dict: the parsed ``meta`` header plus per-section
-    payload sizes.  Safe to run on untrusted files — only the CRC scan
-    and the JSON header are touched.
-    """
-    path = Path(path)
-    sections = read_container(path)
-    meta = _parse_meta(sections["meta"], path) if "meta" in sections else {}
-    return {
-        "path": str(path),
-        "sections": {name: len(payload) for name, payload in sections.items()},
-        "meta": meta,
-    }
-
-
 # ----------------------------------------------------------------------
 def _parse_meta(payload: bytes, path: Path) -> Dict[str, Any]:
     try:
@@ -216,3 +191,26 @@ def _package_version() -> str:
         return str(getattr(repro, "__version__", "unknown"))
     except ImportError:  # pragma: no cover - repro is always importable here
         return "unknown"
+
+
+# ----------------------------------------------------------------------
+# Process-global counters that must survive a resume in a new process.
+# ----------------------------------------------------------------------
+def snapshot_globals() -> Dict[str, Any]:
+    """Capture process-global counters a resumed run depends on.
+
+    Today that is one thing: the packet uid counter
+    (:mod:`repro.net.packet`), which keys trace records — a resumed run
+    in a fresh process must hand out uids exactly where the snapshot
+    left off or trace output diverges from the uninterrupted run.
+    """
+    from repro.net import packet
+
+    return {"packet_uid": packet.peek_next_uid()}
+
+
+def restore_globals(state: Mapping[str, Any]) -> None:
+    """Restore the counters captured by :func:`snapshot_globals`."""
+    from repro.net import packet
+
+    packet.reset_uid_counter(int(state["packet_uid"]))

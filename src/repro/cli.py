@@ -21,7 +21,9 @@ dumps the result for external plotting tools.
 Sweeps are crash-isolated: ``--keep-going`` finishes the surviving cells
 and reports a partial figure when some fail, ``--cell-timeout`` bounds
 each cell's wall clock, and ``--retries``/``--retry-backoff`` re-attempt
-failed cells with re-derived seeds (see ``docs/FAULTS.md``).
+failed cells with re-derived seeds (see ``docs/FAULTS.md``).  Each
+finished cell is cached at once, so a killed sweep is recovered by
+running it again on the same cache: only the unfinished cells run.
 
 Observability: ``--metrics-out PATH`` streams per-flow metric
 timeseries plus per-cell and sweep telemetry as ``repro.obs/v1`` JSONL;
@@ -89,7 +91,6 @@ COMMANDS: Tuple[Tuple[str, str, str], ...] = (
     ("lint", "run the project's determinism/hot-path/hygiene lint rules",
      "lint"),
     ("obs", "inspect or convert a repro.obs/v1 record stream", "obs"),
-    ("ckpt", "inspect simulator checkpoint files (repro.ckpt/v1)", "ckpt"),
     ("bench", "inspect committed benchmark results", "bench"),
     ("compare", "compare chosen variants in one multipath scenario", "figures"),
     ("trace", "analyze, replay, or import packet trace streams", "trace"),
@@ -125,7 +126,9 @@ def _execution_parent() -> argparse.ArgumentParser:
     parent.add_argument(
         "--cache-dir",
         default=DEFAULT_CACHE_DIR,
-        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
+        help=f"result cache directory (default: {DEFAULT_CACHE_DIR}); each "
+        "cell is stored as it finishes, so re-running a killed sweep on "
+        "the same directory runs only the cells that had not finished",
     )
     failure = parent.add_mutually_exclusive_group()
     failure.add_argument(
@@ -163,22 +166,6 @@ def _execution_parent() -> argparse.ArgumentParser:
         metavar="SECONDS",
         default=0.25,
         help="base delay between attempts, doubled each retry (default: 0.25)",
-    )
-    parent.add_argument(
-        "--checkpoint-every",
-        type=float,
-        metavar="SIM-SECONDS",
-        default=None,
-        help="snapshot each cell's simulator every SIM-SECONDS of "
-        "simulated time (arms the crash-safe sweep journal under the "
-        "cache directory; see docs/CHECKPOINT.md)",
-    )
-    parent.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay the sweep journal before running: skip completed "
-        "cells, re-arm cells that were mid-run when a previous "
-        "invocation was killed from their latest checkpoint",
     )
     return parent
 

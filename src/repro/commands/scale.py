@@ -118,8 +118,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         keep_going=args.keep_going,
         collect_metrics=False,
         collect_trace=bool(args.trace_out),
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
     )
     try:
         report = run_scale(plan, runner=runner)

@@ -26,8 +26,6 @@ def _runner_from(args: argparse.Namespace) -> ParallelRunner:
         keep_going=args.keep_going,
         collect_metrics=bool(args.metrics_out),
         collect_trace=bool(args.trace_out),
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
     )
 
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.estimator import MaxRttEstimator
 from repro.net.node import Agent
@@ -622,36 +622,6 @@ class TcpPrSender(Agent):
             retransmit=is_retransmit,
         )
         self.inject(packet)
-
-    # ------------------------------------------------------------------
-    # StatefulComponent protocol (see repro.checkpoint.state)
-    # ------------------------------------------------------------------
-    #: Wiring excluded from snapshots: engine references, the probe,
-    #: the two live heap handles (sweep timer, receiver-window unblock),
-    #: and the cached callbacks/labels.
-    _SNAPSHOT_EXCLUDE = frozenset(
-        {
-            "sim",
-            "node",
-            "obs",
-            "_timer_handle",
-            "_unblock_handle",
-            "_sweep_cb",
-            "_label_timer",
-            "_label_start",
-            "_label_unblock",
-        }
-    )
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        from repro.checkpoint.state import snapshot_object
-
-        return snapshot_object(self, exclude=self._SNAPSHOT_EXCLUDE)
-
-    def restore_state(self, state: "Mapping[str, Any]") -> None:
-        from repro.checkpoint.state import restore_object
-
-        restore_object(self, state)
 
     def __repr__(self) -> str:
         return (

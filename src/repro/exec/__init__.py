@@ -15,10 +15,9 @@ package turns that observation into infrastructure:
   on-disk store under ``.repro-cache/`` making repeat runs near-instant:
   the runner reads the cache first and resolves (imports) the cell
   functions of the misses only, so a fully cached sweep loads no
-  simulator code;
-* :mod:`repro.exec.journal` — :class:`SweepJournal`, the append-only
-  crash log that makes a killed sweep resumable (paired with the
-  per-cell checkpoints of :mod:`repro.checkpoint`);
+  simulator code.  Each result is stored as its cell completes, which
+  makes the cache the crash-recovery path too: a killed sweep run again
+  on the same cache re-runs only the cells that had not finished;
 * :mod:`repro.exec.telemetry` — :class:`CellTelemetry` /
   :class:`SweepTelemetry`, the per-cell execution stories (cache hits,
   retries, timeouts, wall time, metric summaries) every run attaches to
@@ -28,7 +27,7 @@ See ``docs/EXECUTOR.md`` for the design, ``docs/FAULTS.md`` for the
 failure policy, and ``docs/OBSERVABILITY.md`` for metric collection.
 The names below are re-exported lazily: ``import repro.exec`` loads no
 submodule, and the runner imports :mod:`repro.obs` only when a sweep
-collects metrics or traces or keeps a journal.
+collects metrics or traces.
 """
 
 from importlib import import_module
@@ -40,12 +39,6 @@ if TYPE_CHECKING:
         DEFAULT_CACHE_DIR,
         CacheStats,
         ResultCache,
-    )
-    from repro.exec.journal import (
-        JOURNAL_SCHEMA,
-        JournalState,
-        SweepJournal,
-        sweep_id_for,
     )
     from repro.exec.runner import (
         CellError,
@@ -74,8 +67,6 @@ _EXPORTS = {
     "CellTimeout": "repro.exec.runner",
     "DEFAULT_CACHE_DIR": "repro.exec.cache",
     "ExperimentSpec": "repro.exec.spec",
-    "JOURNAL_SCHEMA": "repro.exec.journal",
-    "JournalState": "repro.exec.journal",
     "ParallelRunner": "repro.exec.runner",
     "PartialSweepResult": "repro.exec.spec",
     "ResultCache": "repro.exec.cache",
@@ -83,11 +74,9 @@ _EXPORTS = {
     "Scale": "repro.exec.spec",
     "SweepCell": "repro.exec.spec",
     "SweepError": "repro.exec.runner",
-    "SweepJournal": "repro.exec.journal",
     "SweepTelemetry": "repro.exec.telemetry",
     "resolve_func": "repro.exec.spec",
     "run_sweep": "repro.exec.runner",
-    "sweep_id_for": "repro.exec.journal",
 }
 
 __all__ = [
@@ -98,8 +87,6 @@ __all__ = [
     "CellTelemetry",
     "CellTimeout",
     "ExperimentSpec",
-    "JOURNAL_SCHEMA",
-    "JournalState",
     "ParallelRunner",
     "PartialSweepResult",
     "ResultCache",
@@ -107,11 +94,9 @@ __all__ = [
     "Scale",
     "SweepCell",
     "SweepError",
-    "SweepJournal",
     "SweepTelemetry",
     "resolve_func",
     "run_sweep",
-    "sweep_id_for",
 ]
 
 

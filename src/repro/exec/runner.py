@@ -25,10 +25,12 @@ Failure policy (a sweep farm must degrade, not die):
   draining (and caching) every in-flight cell, so completed work is
   never discarded either way;
 * results are cached as each cell completes, not at the end of the
-  sweep — a late crash cannot discard earlier cells' work.
+  sweep — a late crash cannot discard earlier cells' work.  This is the
+  one crash-recovery path: a killed sweep run again on the same cache
+  re-runs only the cells that had not finished, each from scratch.
 
 :func:`run_sweep` is the one-call convenience used by every
-``run_fig*`` entry point::
+figure command::
 
     from repro.experiments import Fig4Spec, Scale, run_sweep
 
@@ -41,7 +43,6 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -120,9 +121,7 @@ class SweepError(RuntimeError):
 #: Payload shipped to a worker: everything needed to run one cell with
 #: the full failure policy applied *inside* the worker, so retries and
 #: timeouts behave identically in-process and across the pool.  The two
-#: booleans are (collect_metrics, collect_trace); the trailing element
-#: arms mid-run checkpointing as ``(checkpoint path, every seconds)``
-#: (None = off) — see :mod:`repro.checkpoint`.
+#: booleans are (collect_metrics, collect_trace).
 _Payload = Tuple[
     int,
     str,
@@ -133,7 +132,6 @@ _Payload = Tuple[
     float,
     bool,
     bool,
-    Optional[Tuple[str, float]],
 ]
 #: What a collecting cell observed: its metric and fault repro.obs/v1
 #: records as plain dicts, its packet events as the tracer's tuples.
@@ -194,26 +192,6 @@ def _alarm(seconds: Optional[float]):
                 signal.setitimer(signal.ITIMER_REAL, max(remaining, 1e-6))
 
 
-@contextmanager
-def _cell_checkpoint(checkpoint: Optional[Tuple[str, float]]):
-    """Arm the ambient :class:`~repro.checkpoint.CellPlan` for one attempt.
-
-    With ``checkpoint`` set, a cell function built on
-    :func:`repro.checkpoint.checkpointable` saves its simulator every
-    ``every`` seconds of simulated time to ``path`` — and, when that
-    file already exists (a previous process died mid-cell), resumes
-    from it instead of re-running from zero.
-    """
-    if checkpoint is None:
-        yield
-        return
-    from repro.checkpoint import CellPlan, cell_plan
-
-    path, every = checkpoint
-    with cell_plan(CellPlan(Path(path), every)):
-        yield
-
-
 def _execute_payload_guarded(payload: _Payload) -> _Outcome:
     """Run one cell with exception capture, timeout, and retries.
 
@@ -237,7 +215,6 @@ def _execute_payload_guarded(payload: _Payload) -> _Outcome:
         backoff,
         collect_metrics,
         collect_trace,
-        checkpoint,
     ) = payload
     started = time.perf_counter()
     collect = collect_metrics or collect_trace
@@ -248,25 +225,24 @@ def _execute_payload_guarded(payload: _Payload) -> _Outcome:
         )
         try:
             func = resolve_func(func_path)
-            with _cell_checkpoint(checkpoint):
-                if collect:
-                    from repro.net.packet import reset_uid_counter
-                    from repro.obs.instrument import Instrumentation, ambient
+            if collect:
+                from repro.net.packet import reset_uid_counter
+                from repro.obs.instrument import Instrumentation, ambient
 
-                    reset_uid_counter()  # a trace is the cell's, not the process's
-                    instrumentation = Instrumentation(trace=collect_trace)
-                    with ambient(instrumentation):
-                        with _alarm(timeout):
-                            value = func(**params, seed=attempt_seed)
-                    observed: Optional[_Observed] = (
-                        instrumentation.registry.to_records()
-                        + instrumentation.fault_records(),
-                        instrumentation.trace_events(),
-                    )
-                else:
+                reset_uid_counter()  # a trace is the cell's, not the process's
+                instrumentation = Instrumentation(trace=collect_trace)
+                with ambient(instrumentation):
                     with _alarm(timeout):
                         value = func(**params, seed=attempt_seed)
-                    observed = None
+                observed: Optional[_Observed] = (
+                    instrumentation.registry.to_records()
+                    + instrumentation.fault_records(),
+                    instrumentation.trace_events(),
+                )
+            else:
+                with _alarm(timeout):
+                    value = func(**params, seed=attempt_seed)
+                observed = None
             wall = time.perf_counter() - started
             return index, None, value, attempt + 1, wall, observed
         # lint: allow-broad-except(worker guard must capture every cell failure as CellError data, never crash the pool)
@@ -280,14 +256,6 @@ def _execute_payload_guarded(payload: _Payload) -> _Outcome:
                 traceback.format_exc(),
                 timed_out,
             )
-            if checkpoint is not None:
-                # A failed attempt's mid-run checkpoint must not leak
-                # into the retry: retries re-derive the seed to escape a
-                # pathological draw, which resuming would defeat.
-                try:
-                    Path(checkpoint[0]).unlink()
-                except OSError:
-                    pass
         if attempt >= retries:
             wall = time.perf_counter() - started
             return index, failure, None, attempt + 1, wall, None
@@ -296,7 +264,7 @@ def _execute_payload_guarded(payload: _Payload) -> _Outcome:
 
 
 def _tag(key: Any) -> str:
-    """A cell key as the string that journal entries and records carry."""
+    """A cell key as the string that obs records carry."""
     from repro.obs.export import key_to_str
 
     return key_to_str(key)
@@ -323,11 +291,6 @@ class RunStats:
     failed: int = 0
     timed_out: int = 0
     retried: int = 0
-    #: Cells re-armed from a mid-run checkpoint left by a killed process.
-    resumed: int = 0
-    #: Cells whose journal said "finished" but whose cached result had
-    #: vanished — reconciled by re-running them.
-    reconciled: int = 0
     #: Terminal per-cell failures, in cell order (empty on a clean run).
     errors: List[CellError] = field(default_factory=list)
     #: Per-cell execution stories + collected metric records (see
@@ -359,16 +322,10 @@ class ParallelRunner:
             :attr:`RunStats.telemetry`.
         collect_trace: Additionally enable packet/fault tracing on the
             ambient instrumentation (expensive; opt-in separately).
-        checkpoint_every: Simulated-time interval between mid-cell
-            checkpoints (None = off).  Arms the sweep journal: each
-            cell built on :func:`repro.checkpoint.checkpointable`
-            periodically snapshots its simulator under the journal
-            directory, so a killed process resumes cells *mid-run*.
-        resume: Replay the sweep journal before executing, so a
-            re-invoked sweep skips journalled-and-cached cells, re-runs
-            reconciliation misses, and (with ``checkpoint_every``)
-            re-arms in-flight cells from their latest checkpoint.
-            Journalling itself is armed by either flag.
+
+    The cache is the crash-recovery path: each result is stored as its
+    cell completes, so running a killed sweep again on the same cache
+    re-runs only the cells that had not finished (from scratch).
     """
 
     def __init__(
@@ -382,8 +339,6 @@ class ParallelRunner:
         keep_going: bool = False,
         collect_metrics: bool = False,
         collect_trace: bool = False,
-        checkpoint_every: Optional[float] = None,
-        resume: bool = False,
     ) -> None:
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
@@ -391,10 +346,6 @@ class ParallelRunner:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if backoff < 0:
             raise ValueError(f"backoff must be >= 0, got {backoff}")
-        if checkpoint_every is not None and checkpoint_every <= 0:
-            raise ValueError(
-                f"checkpoint_every must be positive, got {checkpoint_every}"
-            )
         self.jobs = max(1, int(jobs))
         self.cache = cache
         self.timeout = timeout
@@ -403,8 +354,6 @@ class ParallelRunner:
         self.keep_going = keep_going
         self.collect_metrics = collect_metrics
         self.collect_trace = collect_trace
-        self.checkpoint_every = checkpoint_every
-        self.resume = resume
         self._mp_context = mp_context
         self.last_stats = RunStats()
 
@@ -461,93 +410,49 @@ class ParallelRunner:
         for func_path in dict.fromkeys(cell.func for cell in pending):
             resolve_func(func_path)
 
-        # Crash-safe bookkeeping: with checkpointing or resume armed, an
-        # append-only journal under the cache root records every
-        # dispatch and completion, and provides the per-cell checkpoint
-        # paths.  See repro.exec.journal for the recovery contract.
-        journal = None
-        resumed = 0
-        reconciled = 0
-        checkpoints: Optional[List[Optional[Tuple[str, float]]]] = None
-        if self.checkpoint_every is not None or self.resume:
-            from repro.exec.journal import SweepJournal
-
-            journal = SweepJournal.for_cells(
-                cells,
-                root=self.cache.root if self.cache is not None else None,
-                version=self.cache.version if self.cache is not None else None,
-            )
-            journal_state = journal.load()
-            journal.open(total=len(cells))
-            pending_keys = [_tag(cell.key) for cell in pending]
-            reconciled = sum(
-                1 for key in pending_keys if key in journal_state.finished
-            )
-            checkpoints = []
-            for key in pending_keys:
-                ckpt_path = journal.checkpoint_path(key)
-                if self.checkpoint_every is not None:
-                    checkpoints.append((str(ckpt_path), self.checkpoint_every))
-                    if ckpt_path.exists():
-                        resumed += 1
-                else:
-                    checkpoints.append(None)
-                journal.cell_started(
-                    key, attempt=journal_state.started.get(key, -1) + 1
-                )
-
         errors: Dict[Any, CellError] = {}
         cell_stories: Dict[Any, CellTelemetry] = {}
         # Gathered in the pool's completion order, emitted in cell order.
         gathered: Dict[int, _Observed] = {}
         retried = 0
         timed_out = 0
-        try:
-            for index, failure, value, attempts, wall, observed in self._execute(
-                pending, checkpoints
-            ):
-                cell = pending[index]
-                retried += attempts - 1
-                if observed is not None:
-                    gathered[index] = observed
-                error_text: Optional[str] = None
-                cell_timed_out = False
-                if failure is None:
-                    results[cell.key] = value
-                    if self.cache is not None:
-                        # Store as each cell completes: a crash later in
-                        # the sweep cannot discard this cell's work.
-                        self.cache.store(cell, value)
-                    if journal is not None:
-                        journal.cell_finished(_tag(cell.key), "ok")
-                else:
-                    error_name, message, trace, cell_timed_out = failure
-                    error_text = f"{error_name}: {message}"
-                    errors[cell.key] = CellError(
-                        key=cell.key,
-                        func=cell.func,
-                        error=error_name,
-                        message=message,
-                        traceback=trace,
-                        attempts=attempts,
-                        timed_out=cell_timed_out,
-                    )
-                    if cell_timed_out:
-                        timed_out += 1
-                    if journal is not None:
-                        journal.cell_finished(_tag(cell.key), "failed")
-                cell_stories[cell.key] = CellTelemetry(
+        for index, failure, value, attempts, wall, observed in self._execute(pending):
+            cell = pending[index]
+            retried += attempts - 1
+            if observed is not None:
+                gathered[index] = observed
+            error_text: Optional[str] = None
+            cell_timed_out = False
+            if failure is None:
+                results[cell.key] = value
+                if self.cache is not None:
+                    # Store as each cell completes: a crash later in
+                    # the sweep cannot discard this cell's work, and a
+                    # re-run of a killed sweep skips it.
+                    self.cache.store(cell, value)
+            else:
+                error_name, message, trace, cell_timed_out = failure
+                error_text = f"{error_name}: {message}"
+                errors[cell.key] = CellError(
                     key=cell.key,
-                    cached=False,
+                    func=cell.func,
+                    error=error_name,
+                    message=message,
+                    traceback=trace,
                     attempts=attempts,
                     timed_out=cell_timed_out,
-                    error=error_text,
-                    wall_time=wall,
-                    metrics=summaries_from_records(observed[0]) if observed else {},
                 )
-        finally:
-            if journal is not None:
-                journal.close()
+                if cell_timed_out:
+                    timed_out += 1
+            cell_stories[cell.key] = CellTelemetry(
+                key=cell.key,
+                cached=False,
+                attempts=attempts,
+                timed_out=cell_timed_out,
+                error=error_text,
+                wall_time=wall,
+                metrics=summaries_from_records(observed[0]) if observed else {},
+            )
 
         collected: List[Dict[str, Any]] = []
         traces: List[Tuple[str, List[TraceEvent]]] = []
@@ -595,8 +500,6 @@ class ParallelRunner:
             failed=len(error_list),
             timed_out=timed_out,
             retried=retried,
-            resumed=resumed,
-            reconciled=reconciled,
             errors=error_list,
             telemetry=telemetry,
         )
@@ -605,11 +508,7 @@ class ParallelRunner:
         combined = {**results, **errors}
         return {cell.key: combined[cell.key] for cell in cells}
 
-    def _execute(
-        self,
-        cells: Sequence[SweepCell],
-        checkpoints: Optional[Sequence[Optional[Tuple[str, float]]]] = None,
-    ) -> Iterator[_Outcome]:
+    def _execute(self, cells: Sequence[SweepCell]) -> Iterator[_Outcome]:
         """Yield guarded outcomes for ``cells`` (any completion order)."""
         payloads: List[_Payload] = [
             (
@@ -622,7 +521,6 @@ class ParallelRunner:
                 self.backoff,
                 self.collect_metrics,
                 self.collect_trace,
-                checkpoints[index] if checkpoints is not None else None,
             )
             for index, cell in enumerate(cells)
         ]
@@ -660,8 +558,6 @@ def run_sweep(
     keep_going: bool = False,
     collect_metrics: bool = False,
     collect_trace: bool = False,
-    checkpoint_every: Optional[float] = None,
-    resume: bool = False,
     runner: Optional[ParallelRunner] = None,
 ) -> Any:
     """Run a declarative sweep end-to-end and return the assembled result.
@@ -670,8 +566,7 @@ def run_sweep(
     CLI case: one ``--seed`` flag threading into a preset spec).  Pass a
     pre-built ``runner`` to reuse one runner across sweeps (and read its
     ``last_stats`` afterwards); the other executor knobs are ignored
-    then.  ``checkpoint_every`` / ``resume`` arm the crash-safe sweep
-    journal (see :mod:`repro.exec.journal`).
+    then.
     """
     spec = spec.with_seed(seed)
     if runner is None:
@@ -684,7 +579,5 @@ def run_sweep(
             keep_going=keep_going,
             collect_metrics=collect_metrics,
             collect_trace=collect_trace,
-            checkpoint_every=checkpoint_every,
-            resume=resume,
         )
     return runner.run(spec)

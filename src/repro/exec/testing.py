@@ -19,7 +19,7 @@ BOOM_CELL = "repro.exec.testing:boom_cell"
 FLAKY_CELL = "repro.exec.testing:flaky_cell"
 SLEEPY_CELL = "repro.exec.testing:sleepy_cell"
 METRIC_CELL = "repro.exec.testing:metric_cell"
-CHECKPOINT_CELL = "repro.exec.testing:checkpoint_cell"
+FLOW_CELL = "repro.exec.testing:flow_cell"
 
 
 def ok_cell(*, value: Any = 1, seed: int) -> Dict[str, Any]:
@@ -75,53 +75,34 @@ def _log_line(log_path: Optional[str], line: str) -> None:
         handle.flush()
 
 
-def checkpoint_cell(
+def flow_cell(
     *,
     duration: float = 4.0,
-    pause_at: Optional[float] = None,
     block_path: Optional[str] = None,
     log_path: Optional[str] = None,
     tag: str = "cell",
     seed: int,
 ) -> Dict[str, Any]:
-    """A real (tiny) simulation built on :func:`~repro.checkpoint.checkpointable`.
+    """A real (tiny) simulation: one TCP-PR flow over a one-pair dumbbell
+    for ``duration`` simulated seconds.
 
-    Runs one TCP-PR flow over a one-pair dumbbell for ``duration``
-    simulated seconds.  With the runner's ``checkpoint_every`` armed,
-    the simulator snapshots periodically; a killed process re-invoked
-    with ``resume`` picks the cell up mid-run.
-
-    The crash-choreography hooks (all optional) let a test stage a kill
-    deterministically: the cell appends ``"<tag>:fresh"`` /
-    ``"<tag>:resumed"`` to ``log_path`` when it starts computing, and —
-    on a fresh (non-resumed) run only — pauses at ``pause_at`` simulated
-    seconds, then stalls on wall-clock while ``block_path`` exists.  The
-    test watches the log, SIGKILLs the sweep while the cell is stalled
-    (checkpoints already on disk), removes the sentinel, and re-invokes.
+    The crash-choreography hooks (both optional) let a test stage a kill
+    deterministically: the cell appends ``"<tag>:start"`` to
+    ``log_path`` when it starts computing, then stalls on wall-clock
+    while ``block_path`` exists.  The test watches the log, SIGKILLs the
+    sweep while the cell is stalled, removes the sentinel, and runs the
+    sweep again on the same cache.
     """
     from repro.app.bulk import BulkTransfer
-    from repro.checkpoint import checkpointable
     from repro.obs.instrument import maybe_observe
     from repro.topologies.dumbbell import DumbbellSpec
 
-    def build() -> Dict[str, Any]:
-        net = DumbbellSpec(num_pairs=1, seed=seed).build().network
-        flow = BulkTransfer(net, "tcp-pr", "s0", "d0", flow_id=1)
-        maybe_observe(net)
-        return {"net": net, "flow": flow}
-
-    with checkpointable(build) as scope:
-        _log_line(log_path, f"{tag}:{'resumed' if scope.resumed else 'fresh'}")
-        if not scope.resumed:
-            if pause_at is not None:
-                scope.run(until=pause_at)
-            if block_path is not None:
-                while os.path.exists(block_path):
-                    time.sleep(0.05)  # lint: allow-wallclock(deliberate stall so a crash test can SIGKILL this worker mid-cell)
-        scope.run(until=duration)
-        flow = scope["flow"]
-        return {
-            "delivered": flow.receiver.delivered,
-            "resumed": scope.resumed,
-            "seed": seed,
-        }
+    net = DumbbellSpec(num_pairs=1, seed=seed).build().network
+    flow = BulkTransfer(net, "tcp-pr", "s0", "d0", flow_id=1)
+    maybe_observe(net)
+    _log_line(log_path, f"{tag}:start")
+    if block_path is not None:
+        while os.path.exists(block_path):
+            time.sleep(0.05)  # lint: allow-wallclock(deliberate stall so a crash test can SIGKILL this worker mid-cell)
+    net.run(until=duration)
+    return {"delivered": flow.receiver.delivered, "seed": seed}

@@ -87,15 +87,8 @@ def run_single_multipath_flow(
     reorder_acks: bool = True,
     receiver_delayed_ack: bool = False,
 ) -> float:
-    """One cell of Figure 6: a lone flow's goodput in Mbps.
-
-    Built on :func:`repro.checkpoint.checkpointable`: with no ambient
-    :class:`~repro.checkpoint.CellPlan` armed this is exactly the old
-    build-and-run; under a plan (the executor's ``--checkpoint-every``)
-    the flow snapshots periodically and resumes mid-run after a crash.
-    """
+    """One cell of Figure 6: a lone flow's goodput in Mbps."""
     from repro.app.bulk import BulkTransfer
-    from repro.checkpoint import checkpointable
     from repro.core.pr import PrConfig
     from repro.obs import maybe_observe
     from repro.tcp.base import TcpConfig
@@ -108,30 +101,24 @@ def run_single_multipath_flow(
         tcp_config = TcpConfig(initial_ssthresh=DEFAULT_INITIAL_SSTHRESH)
     if pr_config is None:
         pr_config = PrConfig(initial_ssthresh=DEFAULT_INITIAL_SSTHRESH)
-
-    def build() -> Dict[str, Any]:
-        mesh_spec = spec if spec is not None else MultipathMeshSpec(
-            link_delay=link_delay, seed=seed
-        )
-        net = mesh_spec.build().network
-        install_epsilon_routing(net, epsilon, reorder_acks=reorder_acks)
-        flow = BulkTransfer(
-            net,
-            variant,
-            "src",
-            "dst",
-            flow_id=1,
-            tcp_config=tcp_config,
-            pr_config=pr_config,
-            receiver_delayed_ack=receiver_delayed_ack,
-        )
-        maybe_observe(net)
-        return {"net": net, "flow": flow}
-
-    with checkpointable(build) as scope:
-        scope.run(until=duration)
-        flow = scope["flow"]
-        return flow.delivered_bytes() * 8.0 / duration / MBPS
+    mesh_spec = spec if spec is not None else MultipathMeshSpec(
+        link_delay=link_delay, seed=seed
+    )
+    net = mesh_spec.build().network
+    install_epsilon_routing(net, epsilon, reorder_acks=reorder_acks)
+    flow = BulkTransfer(
+        net,
+        variant,
+        "src",
+        "dst",
+        flow_id=1,
+        tcp_config=tcp_config,
+        pr_config=pr_config,
+        receiver_delayed_ack=receiver_delayed_ack,
+    )
+    maybe_observe(net)
+    net.run(until=duration)
+    return flow.delivered_bytes() * 8.0 / duration / MBPS
 
 
 #: Importable path of this figure's cell function (see :class:`SweepCell`).

@@ -192,20 +192,6 @@ class ClassSummary:
     has_slots: bool = False
     #: Method names defined in the class body (including properties).
     methods: Tuple[str, ...] = ()
-    #: Attributes assigned on ``self`` anywhere in the class body, with
-    #: the first assignment site: name -> (line, col).
-    self_attrs: Tuple[Tuple[str, int, int], ...] = ()
-    #: ``self.<attr> = <wiring>`` assignments that look like engine
-    #: wiring (see xartifact.py): (attr, line, col, why).
-    wiring_writes: Tuple[Tuple[str, int, int, str], ...] = ()
-    #: Literal names in a class-body ``_SNAPSHOT_EXCLUDE`` assignment.
-    snapshot_exclude: Tuple[str, ...] = ()
-    #: Raw dotted base reference in ``Base._SNAPSHOT_EXCLUDE | {...}``.
-    snapshot_exclude_base: str = ""
-    #: True when the class body assigns ``_SNAPSHOT_EXCLUDE`` at all.
-    has_snapshot_exclude: bool = False
-    #: True when the exclude expression could not be resolved statically.
-    snapshot_exclude_dynamic: bool = False
 
     def to_jsonable(self) -> Dict[str, Any]:
         return {
@@ -215,12 +201,6 @@ class ClassSummary:
             "slots": list(self.slots),
             "has_slots": self.has_slots,
             "methods": list(self.methods),
-            "self_attrs": [list(row) for row in self.self_attrs],
-            "wiring_writes": [list(row) for row in self.wiring_writes],
-            "snapshot_exclude": list(self.snapshot_exclude),
-            "snapshot_exclude_base": self.snapshot_exclude_base,
-            "has_snapshot_exclude": self.has_snapshot_exclude,
-            "snapshot_exclude_dynamic": self.snapshot_exclude_dynamic,
         }
 
     @classmethod
@@ -232,21 +212,6 @@ class ClassSummary:
             slots=tuple(str(s) for s in data.get("slots", ())),
             has_slots=bool(data.get("has_slots", False)),
             methods=tuple(str(m) for m in data.get("methods", ())),
-            self_attrs=tuple(
-                (str(n), int(l), int(c)) for n, l, c in data.get("self_attrs", ())
-            ),
-            wiring_writes=tuple(
-                (str(n), int(l), int(c), str(w))
-                for n, l, c, w in data.get("wiring_writes", ())
-            ),
-            snapshot_exclude=tuple(
-                str(n) for n in data.get("snapshot_exclude", ())
-            ),
-            snapshot_exclude_base=str(data.get("snapshot_exclude_base", "")),
-            has_snapshot_exclude=bool(data.get("has_snapshot_exclude", False)),
-            snapshot_exclude_dynamic=bool(
-                data.get("snapshot_exclude_dynamic", False)
-            ),
         )
 
 
@@ -670,8 +635,6 @@ class _ModuleIndexer:
 
     # -- classes -------------------------------------------------------
     def _summarize_class(self, node: ast.ClassDef) -> ClassSummary:
-        from repro.lint.xartifact import classify_wiring
-
         bases = []
         for base in node.bases:
             raw = _call_raw_name(base)
@@ -680,10 +643,6 @@ class _ModuleIndexer:
         slots: List[str] = []
         has_slots = False
         methods: List[str] = []
-        exclude: List[str] = []
-        exclude_base = ""
-        has_exclude = False
-        exclude_dynamic = False
 
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -706,48 +665,6 @@ class _ModuleIndexer:
                                 element.value, str
                             ):
                                 slots.append(element.value)
-                if "_SNAPSHOT_EXCLUDE" in names and value is not None:
-                    has_exclude = True
-                    literal, base_ref, dynamic = _parse_exclude_expr(value)
-                    exclude.extend(literal)
-                    exclude_base = base_ref
-                    exclude_dynamic = dynamic
-
-        self_attrs: Dict[str, Tuple[int, int]] = {}
-        wiring: List[Tuple[str, int, int, str]] = []
-        for stmt in node.body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            params = [arg.arg for arg in stmt.args.args]
-            for sub in ast.walk(stmt):
-                targets = ()
-                value = None
-                if isinstance(sub, ast.Assign):
-                    targets, value = sub.targets, sub.value
-                elif isinstance(sub, (ast.AugAssign, ast.AnnAssign)):
-                    targets, value = (sub.target,), sub.value
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        if target.attr not in self_attrs:
-                            self_attrs[target.attr] = (
-                                target.lineno,
-                                target.col_offset,
-                            )
-                        if value is not None:
-                            why = classify_wiring(value, params, methods)
-                            if why is not None:
-                                wiring.append(
-                                    (
-                                        target.attr,
-                                        target.lineno,
-                                        target.col_offset,
-                                        why,
-                                    )
-                                )
 
         return ClassSummary(
             name=node.name,
@@ -756,15 +673,6 @@ class _ModuleIndexer:
             slots=tuple(slots),
             has_slots=has_slots,
             methods=tuple(methods),
-            self_attrs=tuple(
-                (name, line, col)
-                for name, (line, col) in sorted(self_attrs.items())
-            ),
-            wiring_writes=tuple(wiring),
-            snapshot_exclude=tuple(exclude),
-            snapshot_exclude_base=exclude_base,
-            has_snapshot_exclude=has_exclude,
-            snapshot_exclude_dynamic=exclude_dynamic,
         )
 
     # -- record literals -----------------------------------------------
@@ -820,51 +728,6 @@ class _ModuleIndexer:
         )
 
 
-def _parse_exclude_expr(
-    value: ast.expr,
-) -> Tuple[List[str], str, bool]:
-    """Resolve a ``_SNAPSHOT_EXCLUDE`` expression.
-
-    Handles the two idioms the tree uses — ``frozenset({...})`` literals
-    and ``Base._SNAPSHOT_EXCLUDE | {...}`` unions — and reports anything
-    else as dynamic (the checker then skips the class rather than guess).
-    """
-    names: List[str] = []
-    base_ref = ""
-    dynamic = False
-
-    def collect(expr: ast.expr) -> None:
-        nonlocal base_ref, dynamic
-        if isinstance(expr, ast.Call) and _call_raw_name(expr.func) in (
-            "frozenset",
-            "set",
-        ):
-            if expr.args:
-                collect(expr.args[0])
-            return
-        if isinstance(expr, (ast.Set, ast.Tuple, ast.List)):
-            for element in expr.elts:
-                if isinstance(element, ast.Constant) and isinstance(
-                    element.value, str
-                ):
-                    names.append(element.value)
-                else:
-                    dynamic = True
-            return
-        if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.BitOr):
-            collect(expr.left)
-            collect(expr.right)
-            return
-        raw = _call_raw_name(expr)
-        if raw is not None and raw.endswith("._SNAPSHOT_EXCLUDE"):
-            base_ref = raw[: -len("._SNAPSHOT_EXCLUDE")]
-            return
-        dynamic = True
-
-    collect(value)
-    return names, base_ref, dynamic
-
-
 def summarize_module(mod: ParsedModule) -> ModuleSummary:
     """Produce the :class:`ModuleSummary` for one parsed module."""
     return _ModuleIndexer(mod).run()
@@ -883,8 +746,8 @@ class Project:
             self.modules[summary.module] = summary
         #: module -> project modules its *analysis* can reach.  Edges
         #: come from bindings the analyses actually resolve through —
-        #: call-site heads, class bases, ``_SNAPSHOT_EXCLUDE`` base
-        #: refs — not from raw import statements: a module imported
+        #: call-site heads and class bases — not from raw import
+        #: statements: a module imported
         #: only for attribute access (``import repro`` to read
         #: ``__version__``) cannot influence any finding, and counting
         #: it would chain half the tree through the re-export hubs and
@@ -912,8 +775,6 @@ class Project:
                 heads.append(raw)
         for klass in summary.classes.values():
             heads.extend(klass.bases)
-            if klass.snapshot_exclude_base:
-                heads.append(klass.snapshot_exclude_base)
         for raw in heads:
             head, _, rest = raw.partition(".")
             if head in ("self", "cls"):

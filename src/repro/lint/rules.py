@@ -359,7 +359,7 @@ _PICKLE_MODULES = frozenset(
 
 
 class PickleRule(Rule):
-    """Pickle only inside the checkpoint subsystem (and the cache).
+    """Pickle only inside the checkpoint subsystem.
 
     Pickle bytes are not a stable artifact format: they are
     protocol/refactor-sensitive, and loading them executes arbitrary
@@ -374,14 +374,11 @@ class PickleRule(Rule):
 
     slug = "pickle"
     code = "REP105"
-    summary = "pickle-family imports only in repro.checkpoint (and exec/cache.py)"
+    summary = "pickle-family imports only in repro.checkpoint"
 
     _ALLOWED_PREFIXES = ("checkpoint/",)
-    _ALLOWED = ("exec/cache.py",)
 
     def applies(self, mod: "ParsedModule") -> bool:  # noqa: F821
-        if mod.rel in self._ALLOWED:
-            return False
         return not mod.rel.startswith(self._ALLOWED_PREFIXES)
 
     def check(self, mod: "ParsedModule") -> Iterator[Finding]:  # noqa: F821
@@ -891,7 +888,7 @@ class DeepRuleInfo:
 #: Whole-program rules, in catalog order.  REP11x extends the REP10x
 #: determinism family across call/return boundaries; REP4xx checks the
 #: python tree against its sibling artifacts (the C mirror, the
-#: checkpoint contract, the observability schema docs).
+#: observability schema docs).
 DEEP_RULES: Tuple[DeepRuleInfo, ...] = (
     DeepRuleInfo(
         "taint-state",
@@ -910,12 +907,6 @@ DEEP_RULES: Tuple[DeepRuleInfo, ...] = (
         "REP401",
         "pure Simulator/Link/Node surface must be mirrored by the C "
         "extension tables or declared delegated in mirror_manifest.json",
-    ),
-    DeepRuleInfo(
-        "snapshot-drift",
-        "REP402",
-        "component wiring attributes must be listed in _SNAPSHOT_EXCLUDE; "
-        "excluded names must exist",
     ),
     DeepRuleInfo(
         "obs-schema-drift",

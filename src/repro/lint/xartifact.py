@@ -1,6 +1,6 @@
 """Cross-artifact consistency checks (REP4xx family).
 
-Three contracts in this tree span more than one artifact, so no
+Two contracts in this tree span more than one artifact, so no
 single-file rule can see them drift:
 
 * **REP401 / c-mirror-drift** — the compiled engine
@@ -13,106 +13,45 @@ single-file rule can see them drift:
   from the pure base on purpose).  Both directions are checked: a pure
   slot/method the C side neither shadows nor delegates, a C entry whose
   pure counterpart is gone, and stale manifest entries.
-* **REP402 / snapshot-drift** — checkpointable components exclude their
-  engine wiring from snapshots via ``_SNAPSHOT_EXCLUDE``
-  (:mod:`repro.checkpoint.state`).  An attribute assigned from a wiring
-  constructor parameter (:data:`~repro.checkpoint.state.WIRING_PARAM_NAMES`),
-  from a bound method of ``self``, or from a scheduler handle is wiring
-  by construction; if it is not excluded, ``snapshot_object`` will
-  deep-copy half the object graph.  Stale exclude entries (naming an
-  attribute the class no longer has) are flagged too.
 * **REP403 / obs-schema-drift** — every ``{"record": "<kind>", ...}``
   literal emitted by the obs-stream producers (``obs/``, ``scenarios/``,
   ``traces/``, ``exec/telemetry.py``) must use a record kind documented
   in the ``repro.obs/v1`` table of ``docs/OBSERVABILITY.md``, with its
   explicit fields a subset of the documented ones (the schema is
-  append-only, so the doc is the source of truth).  ``exec/journal.py``
-  is out of scope: its records live in the private resume journal, not
-  the obs stream.
+  append-only, so the doc is the source of truth).
 """
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.checkpoint.state import WIRING_PARAM_NAMES
 from repro.lint.findings import Finding
-from repro.lint.project import ClassSummary, ModuleSummary, Project
+from repro.lint.project import ModuleSummary, Project
 
 __all__ = [
     "MIRROR_RULE_CODE",
     "MIRROR_RULE_SLUG",
     "OBS_RULE_CODE",
     "OBS_RULE_SLUG",
-    "SNAPSHOT_RULE_CODE",
-    "SNAPSHOT_RULE_SLUG",
     "Artifacts",
     "analyze_xartifact",
-    "classify_wiring",
     "parse_c_tables",
     "parse_obs_schema_doc",
 ]
 
 MIRROR_RULE_SLUG = "c-mirror-drift"
 MIRROR_RULE_CODE = "REP401"
-SNAPSHOT_RULE_SLUG = "snapshot-drift"
-SNAPSHOT_RULE_CODE = "REP402"
 OBS_RULE_SLUG = "obs-schema-drift"
 OBS_RULE_CODE = "REP403"
 
 #: Modules whose record literals must match the documented obs schema.
 _OBS_SCOPE_PREFIXES = ("obs/", "scenarios/", "traces/")
 _OBS_SCOPE_FILES = ("exec/telemetry.py",)
-
-_SCHEDULER_TAILS = frozenset(
-    {"schedule", "schedule_in", "post", "post_in", "post_batch"}
-)
-
-
-# ----------------------------------------------------------------------
-# Wiring classification (used by project.py while summarizing classes)
-# ----------------------------------------------------------------------
-def classify_wiring(
-    value: ast.expr, params: Sequence[str], methods: Sequence[str]
-) -> Optional[str]:
-    """Why a ``self.<attr> = value`` assignment is engine wiring, or None.
-
-    Conservative on purpose: only shapes that are wiring *by
-    construction* qualify, so every REP402 finding is actionable.
-    """
-    node = value
-    # `self.x = param` / `self.x = param.attr.chain`
-    root = node
-    depth = 0
-    while isinstance(root, ast.Attribute):
-        root = root.value
-        depth += 1
-    if isinstance(root, ast.Name):
-        if (
-            root.id in WIRING_PARAM_NAMES
-            and root.id in params
-            and depth <= 1
-        ):
-            return f"assigned from wiring parameter '{root.id}'"
-        # `self.x = self.method` (a bound method — never snapshotable)
-        if (
-            root.id == "self"
-            and depth == 1
-            and isinstance(node, ast.Attribute)
-            and node.attr in methods
-        ):
-            return f"bound method self.{node.attr}"
-    # `self.x = <sim>.schedule(...)` — a live EventHandle
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        if node.func.attr in _SCHEDULER_TAILS:
-            return f"live handle from {node.func.attr}()"
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -399,98 +338,6 @@ class _MirrorChecker:
 
 
 # ----------------------------------------------------------------------
-# REP402: snapshot excludes vs wiring attributes
-# ----------------------------------------------------------------------
-def _effective_exclude(
-    project: Project,
-    module: str,
-    class_name: str,
-    seen: Optional[Set[Tuple[str, str]]] = None,
-) -> Optional[Set[str]]:
-    """The resolved ``_SNAPSHOT_EXCLUDE`` set a class snapshots with, or
-    None when no MRO member declares one / the declaration is dynamic."""
-    if seen is None:
-        seen = set()
-    if (module, class_name) in seen:
-        return None
-    seen.add((module, class_name))
-    for owner, klass in project.class_mro(module, class_name):
-        if not klass.has_snapshot_exclude:
-            continue
-        if klass.snapshot_exclude_dynamic:
-            return None
-        names = set(klass.snapshot_exclude)
-        if klass.snapshot_exclude_base:
-            base = klass.snapshot_exclude_base.rpartition(".")[2]
-            parent = _effective_exclude(project, owner, base, seen)
-            if parent is None:
-                return None
-            names |= parent
-        return names
-    return None
-
-
-def _class_attr_universe(
-    project: Project, module: str, class_name: str
-) -> Set[str]:
-    names: Set[str] = set()
-    for _owner, klass in project.class_mro(module, class_name):
-        names.update(klass.slots)
-        names.update(klass.methods)
-        names.update(attr for attr, _l, _c in klass.self_attrs)
-    return names
-
-
-def _check_snapshot_drift(project: Project) -> List[Finding]:
-    findings: List[Finding] = []
-    for summary in project.modules.values():
-        for class_name in sorted(summary.classes):
-            klass = summary.classes[class_name]
-            exclude = _effective_exclude(project, summary.module, class_name)
-            if exclude is None:
-                continue
-            for attr, line, col, why in klass.wiring_writes:
-                if attr in exclude:
-                    continue
-                findings.append(
-                    Finding(
-                        rule=SNAPSHOT_RULE_SLUG,
-                        code=SNAPSHOT_RULE_CODE,
-                        path=summary.path,
-                        line=line,
-                        col=col,
-                        message=(
-                            f"'self.{attr}' in {class_name} is engine "
-                            f"wiring ({why}) but is missing from "
-                            "_SNAPSHOT_EXCLUDE; snapshot_object would "
-                            "deep-copy the wired object graph"
-                        ),
-                    )
-                )
-            if klass.has_snapshot_exclude and not klass.snapshot_exclude_dynamic:
-                universe = _class_attr_universe(
-                    project, summary.module, class_name
-                )
-                for name in sorted(klass.snapshot_exclude):
-                    if name not in universe:
-                        findings.append(
-                            Finding(
-                                rule=SNAPSHOT_RULE_SLUG,
-                                code=SNAPSHOT_RULE_CODE,
-                                path=summary.path,
-                                line=klass.line,
-                                col=0,
-                                message=(
-                                    f"_SNAPSHOT_EXCLUDE of {class_name} "
-                                    f"names '{name}', but the class has no "
-                                    "such attribute (stale exclude entry)"
-                                ),
-                            )
-                        )
-    return findings
-
-
-# ----------------------------------------------------------------------
 # REP403: emitted record literals vs documented schema
 # ----------------------------------------------------------------------
 def _obs_in_scope(summary: ModuleSummary) -> bool:
@@ -560,9 +407,8 @@ def _check_obs_schema(
 def analyze_xartifact(
     project: Project, artifacts: Artifacts
 ) -> List[Finding]:
-    """Run REP401 + REP402 + REP403 over the assembled project."""
+    """Run REP401 + REP403 over the assembled project."""
     findings = _MirrorChecker(project, artifacts).run()
-    findings.extend(_check_snapshot_drift(project))
     findings.extend(_check_obs_schema(project, artifacts))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return findings

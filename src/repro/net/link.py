@@ -25,7 +25,7 @@ Bernoulli-drops arrivals during e.g. an ACK-path blackout.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Callable, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.net.delays import DelayModel
 from repro.net.lossgen import LossModel
@@ -146,9 +146,6 @@ class Link:
         #: Metrics probe installed by repro.obs (None = not observed).
         self.obs: Optional[Any] = None
         src._register_link(self)
-        # After node-level registration, so duplicate-link errors fire
-        # before any simulator-level bookkeeping.
-        sim.register_component(f"link:{self.name}", self)
 
     def __new__(cls, sim: object = None, *args: Any, **kwargs: Any) -> "Link":
         # Engine selection follows the simulator instance: see the
@@ -272,41 +269,6 @@ class Link:
     def _notify_drop(self, packet: Packet) -> None:
         for listener in self.drop_listeners:
             listener(self, packet)
-
-    # ------------------------------------------------------------------
-    # StatefulComponent protocol (see repro.checkpoint.state)
-    # ------------------------------------------------------------------
-    #: Wiring excluded from snapshots: the engine/topology references,
-    #: hot-path caches, sub-components snapshotted on their own (queue,
-    #: models, probe, listeners), and the shared fault RNG stream (it
-    #: lives in the RngRegistry; a deep copy would decouple it).
-    _SNAPSHOT_EXCLUDE = frozenset(
-        {
-            "sim",
-            "src",
-            "dst",
-            "queue",
-            "loss_model",
-            "delay_model",
-            "obs",
-            "drop_listeners",
-            "_finish_cb",
-            "_post_in",
-            "_label_tx",
-            "_label_rx",
-            "_fault_rng",
-        }
-    )
-
-    def snapshot_state(self) -> "dict[str, Any]":
-        from repro.checkpoint.state import snapshot_object
-
-        return snapshot_object(self, exclude=self._SNAPSHOT_EXCLUDE)
-
-    def restore_state(self, state: "Mapping[str, Any]") -> None:
-        from repro.checkpoint.state import restore_object
-
-        restore_object(self, state)
 
     # ------------------------------------------------------------------
     @property

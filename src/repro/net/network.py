@@ -9,7 +9,6 @@ tree: :func:`dijkstra` over :meth:`Network.adjacency`, used here by
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.net.delays import DelayModel
@@ -19,20 +18,6 @@ from repro.net.node import Node
 from repro.net.queues import Queue
 from repro.sim.engine import Simulator
 from repro.sim.errors import SimulationError
-
-
-def _unique_component_name(sim: Simulator, base: str) -> str:
-    """First of ``base``, ``base#2``, ``base#3``, ... not yet registered.
-
-    Deterministic (construction order), so multi-network simulators get
-    stable registry names across runs.
-    """
-    if base not in sim.components:
-        return base
-    index = 2
-    while f"{base}#{index}" in sim.components:
-        index += 1
-    return f"{base}#{index}"
 
 
 class Network:
@@ -49,7 +34,6 @@ class Network:
         self.sim = sim if sim is not None else Simulator(seed=seed)
         self.nodes: Dict[str, Node] = {}
         self.links: Dict[Tuple[str, str], Link] = {}
-        self.sim.register_component(_unique_component_name(self.sim, "net"), self)
 
     # ------------------------------------------------------------------
     # Construction
@@ -193,14 +177,11 @@ class Network:
         max_events: Optional[int] = None,
         deadline: Optional[float] = None,
         livelock_threshold: Optional[int] = None,
-        checkpoint_every: Optional[float] = None,
-        checkpoint_path: "Optional[str | Path]" = None,
     ) -> None:
         """Run the simulation until ``until`` seconds.
 
         ``deadline`` (wall-clock seconds) and ``livelock_threshold``
-        (events without clock progress) arm the simulator's watchdog;
-        ``checkpoint_every``/``checkpoint_path`` arm periodic snapshots —
+        (events without clock progress) arm the simulator's watchdog —
         see :meth:`repro.sim.engine.Simulator.run`.
         """
         self.sim.run(
@@ -208,8 +189,6 @@ class Network:
             max_events=max_events,
             deadline=deadline,
             livelock_threshold=livelock_threshold,
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=checkpoint_path,
         )
 
     def __repr__(self) -> str:

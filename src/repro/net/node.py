@@ -46,9 +46,6 @@ class Agent:
         self.node = node
         self.flow_id = flow_id
         node.register_agent(flow_id, self)
-        # After node-level registration, so a duplicate flow id raises
-        # its usual error before any simulator-level bookkeeping.
-        sim.register_component(f"agent:{node.name}/f{flow_id}", self)
 
     def receive(self, packet: Packet) -> None:
         """Handle a packet addressed to this agent."""

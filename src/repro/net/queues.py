@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from typing import Any, Mapping, Optional
+from typing import Optional
 
 from repro.net.packet import Packet
 
@@ -85,24 +85,6 @@ class Queue:
     @property
     def occupancy(self) -> int:
         return len(self._buffer)
-
-    # ------------------------------------------------------------------
-    # StatefulComponent protocol (see repro.checkpoint.state)
-    # ------------------------------------------------------------------
-    #: The probe is wiring (the owning link re-shares it); everything
-    #: else — buffered packets, counters, RED averaging state and its
-    #: standalone RNG — is logical state.
-    _SNAPSHOT_EXCLUDE = frozenset({"obs"})
-
-    def snapshot_state(self) -> "dict[str, Any]":
-        from repro.checkpoint.state import snapshot_object
-
-        return snapshot_object(self, exclude=self._SNAPSHOT_EXCLUDE)
-
-    def restore_state(self, state: "Mapping[str, Any]") -> None:
-        from repro.checkpoint.state import restore_object
-
-        restore_object(self, state)
 
 
 class DropTailQueue(Queue):

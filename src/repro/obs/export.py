@@ -202,8 +202,8 @@ def recover_jsonl_tail(path: PathLike) -> int:
     newline or (b) a newline-terminated final line that is not valid
     JSON (partial flush).  Both are removed, repeatedly, until the file
     ends in a complete, parseable line (or is empty).  Records that were
-    fully written are never touched, so append-mode exporters and the
-    sweep journal can recover by calling this before appending.
+    fully written are never touched, so append-mode exporters (the
+    ``scale`` shard streams) can recover by calling this before appending.
     """
     path = Path(path)
     try:

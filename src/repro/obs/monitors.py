@@ -15,7 +15,7 @@ constructors, so one object owns every observer of a run.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING, List, Mapping
+from typing import TYPE_CHECKING, List
 
 from repro.analysis.throughput import FlowSample, goodput_bps
 from repro.obs.trace import FaultRecord
@@ -88,21 +88,6 @@ class FlowThroughputMonitor:
         end = self.sim.now
         return self.goodput_bps(max(0.0, end - window), end)
 
-    # StatefulComponent protocol (see repro.checkpoint.state): the
-    # samples are logical state; the engine/receiver references and the
-    # sampling cadence wiring are not.
-    _SNAPSHOT_EXCLUDE = frozenset({"sim", "receiver"})
-
-    def snapshot_state(self) -> "dict[str, object]":
-        from repro.checkpoint.state import snapshot_object
-
-        return snapshot_object(self, exclude=self._SNAPSHOT_EXCLUDE)
-
-    def restore_state(self, state: "Mapping[str, object]") -> None:
-        from repro.checkpoint.state import restore_object
-
-        restore_object(self, state)
-
 
 class CwndMonitor:
     """Samples any object's ``cwnd`` attribute over time."""
@@ -127,18 +112,6 @@ class CwndMonitor:
 
     def mean_cwnd(self) -> float:
         return sum(self.values) / len(self.values)
-
-    _SNAPSHOT_EXCLUDE = frozenset({"sim", "sender"})
-
-    def snapshot_state(self) -> "dict[str, object]":
-        from repro.checkpoint.state import snapshot_object
-
-        return snapshot_object(self, exclude=self._SNAPSHOT_EXCLUDE)
-
-    def restore_state(self, state: "Mapping[str, object]") -> None:
-        from repro.checkpoint.state import restore_object
-
-        restore_object(self, state)
 
 
 class FaultTimelineMonitor:
@@ -168,18 +141,6 @@ class FaultTimelineMonitor:
         return [
             record for record in self.records if start <= record.time < end
         ]
-
-    _SNAPSHOT_EXCLUDE = frozenset()
-
-    def snapshot_state(self) -> "dict[str, object]":
-        from repro.checkpoint.state import snapshot_object
-
-        return snapshot_object(self, exclude=self._SNAPSHOT_EXCLUDE)
-
-    def restore_state(self, state: "Mapping[str, object]") -> None:
-        from repro.checkpoint.state import restore_object
-
-        restore_object(self, state)
 
     def timeline(self) -> str:
         """A human-readable one-line-per-fault rendering."""
@@ -215,15 +176,3 @@ class QueueMonitor:
 
     def max_occupancy(self) -> int:
         return max(self.occupancies)
-
-    _SNAPSHOT_EXCLUDE = frozenset({"sim", "queue"})
-
-    def snapshot_state(self) -> "dict[str, object]":
-        from repro.checkpoint.state import snapshot_object
-
-        return snapshot_object(self, exclude=self._SNAPSHOT_EXCLUDE)
-
-    def restore_state(self, state: "Mapping[str, object]") -> None:
-        from repro.checkpoint.state import restore_object
-
-        restore_object(self, state)

@@ -4,7 +4,7 @@ A :class:`ShardPlan` partitions a scenario's flow population into
 ``num_shards`` residue classes (``flow_id % num_shards``) and runs each
 class as an independent :class:`~repro.exec.spec.SweepCell` on the
 existing :mod:`repro.exec` process pool — inheriting its caching,
-timeout/retry/keep-going failure policy, journal, and bit-identical
+timeout/retry/keep-going failure policy, and bit-identical
 serial/parallel guarantee for free.
 
 Semantics (documented in ``docs/SCENARIOS.md``): a shard is its own
@@ -23,8 +23,8 @@ Bounded memory is the other contract.  Inside a shard, flows are
 *admitted* lazily from the workload generator at their start times and
 *retired* by a periodic sim-time reaper once fully delivered (their
 per-flow record is streamed to the shard's
-:class:`~repro.obs.export.JsonlAppender` and the agents are
-deregistered), so resident state tracks the live population — not
+:class:`~repro.obs.export.JsonlAppender` and the agents leave their
+nodes), so resident state tracks the live population — not
 everything that ever ran — and per-flow results are never assembled in
 memory.
 """
@@ -76,7 +76,7 @@ class _ShardDriver:
     Holds the shard's slice of the workload generator; an admission
     event chain constructs each :class:`BulkTransfer` at its start time
     and a periodic reaper retires completed flows (streams their record,
-    deregisters their agents) so live state stays bounded.
+    detaches their agents from their nodes) so live state stays bounded.
     """
 
     def __init__(
@@ -188,7 +188,7 @@ class _ShardDriver:
             self.sim.post_in(self.reap_interval, self._reap_tick)
 
     def _retire(self, flow_id: int) -> None:
-        """Record and release one flow (its agents leave every registry)."""
+        """Record and release one flow (its agents leave their nodes)."""
         flow = self.active.pop(flow_id)
         completed = bool(flow.sender.done)
         delivered = flow.delivered_segments
@@ -222,9 +222,6 @@ class _ShardDriver:
             self._sizes.pop(flow_id)
         for agent in (flow.sender, flow.receiver):
             agent.node.agents.pop(flow_id, None)
-            self.sim.deregister_component(
-                f"agent:{agent.node.name}/f{flow_id}"
-            )
 
     def finish(self) -> None:
         """Retire whatever is still live at the end of the horizon."""

@@ -5,8 +5,8 @@ population: which network to build (any registered
 :class:`~repro.topologies.base.TopologySpec` kind), which flows to run
 over it (a :class:`~repro.scenarios.workload.WorkloadSpec`), for how
 long, under which master seed.  Everything downstream — figure
-experiments, the sharded scale-out executor, traces, checkpoints —
-speaks this one vocabulary.
+experiments, the sharded scale-out executor, traces — speaks this one
+vocabulary.
 
 Seed derivation (see ``docs/SCENARIOS.md`` for the full table): the
 flow population is drawn from ``derive_child_seed(seed,

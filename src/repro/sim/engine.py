@@ -134,10 +134,9 @@ class Simulator:
         self._live = 0
         self._running = False
         self._profile: Optional[SimProfile] = SimProfile() if profile else None
-        # Name -> component registry (insertion-ordered).  Purely
-        # passive: registration never schedules events or affects
-        # dispatch.  repro.checkpoint uses it to list what a snapshot
-        # contains and to hand components back after a resume.
+        # Name -> component registry (insertion-ordered), filled only by
+        # explicit register_component calls.  Purely passive: it rides
+        # a checkpoint so callers can find their objects after a resume.
         self._components: Dict[str, Any] = {}
 
     def __new__(cls, *args: Any, **kwargs: Any) -> "Simulator":
@@ -337,8 +336,6 @@ class Simulator:
         max_events: Optional[int] = None,
         deadline: Optional[float] = None,
         livelock_threshold: Optional[int] = None,
-        checkpoint_every: Optional[float] = None,
-        checkpoint_path: "Optional[Path | str]" = None,
     ) -> None:
         """Dispatch events in time order.
 
@@ -360,30 +357,11 @@ class Simulator:
                 dispatched without the clock advancing (a zero-delay event
                 loop; legitimate same-instant bursts are orders of
                 magnitude smaller than a sensible threshold).
-            checkpoint_every: Snapshot the simulator to
-                ``checkpoint_path`` every this many *simulation* seconds
-                (see :mod:`repro.checkpoint`).  The run is executed as a
-                sequence of plain ``run(until=boundary)`` segments; the
-                final state at ``until`` is not snapshotted (the run
-                completed).  Both checkpoint arguments must be given
-                together.
-            checkpoint_path: Destination file for the periodic snapshot
-                (atomically replaced at every boundary).
 
         A call with no watchdog argument on a simulator without
         ``profile``/``sanitize`` takes the fast loop below (every figure
         run does); anything else runs in :func:`_run_checked`.
         """
-        if checkpoint_every is not None or checkpoint_path is not None:
-            self._run_checkpointed(
-                until,
-                max_events,
-                deadline,
-                livelock_threshold,
-                checkpoint_every,
-                checkpoint_path,
-            )
-            return
         if (
             max_events is not None
             or deadline is not None
@@ -475,49 +453,10 @@ class Simulator:
             return (entry[0], callback, entry[3], entry[4])
         return None
 
-    def _run_checkpointed(
-        self,
-        until: Optional[float],
-        max_events: Optional[int],
-        deadline: Optional[float],
-        livelock_threshold: Optional[int],
-        checkpoint_every: Optional[float],
-        checkpoint_path: "Optional[Path | str]",
-    ) -> None:
-        """Run in plain segments, snapshotting at each time boundary."""
-        if checkpoint_every is None or checkpoint_path is None:
-            raise ValueError(
-                "checkpoint_every and checkpoint_path must be given together"
-            )
-        if checkpoint_every <= 0:
-            raise ValueError(
-                f"checkpoint_every must be positive, got {checkpoint_every}"
-            )
-        # Lazy import: the engine must stay importable (and fast) without
-        # the checkpoint subsystem in play.
-        from repro.checkpoint.snapshot import save_checkpoint
-
-        started_wall = _time.monotonic() if deadline is not None else 0.0
-        while True:
-            boundary = self.now + checkpoint_every
-            stop = boundary if until is None else min(until, boundary)
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - (_time.monotonic() - started_wall)
-                if remaining <= 0:
-                    raise DeadlineExceededError(
-                        deadline, self.now, self._dispatched
-                    )
-            self.run(stop, max_events, remaining, livelock_threshold)
-            if until is not None and until <= boundary:
-                return  # reached the caller's horizon (no trailing snapshot)
-            if self._live == 0:
-                return  # queue drained inside the segment
-            save_checkpoint(self, checkpoint_path)
-
     @classmethod
     def resume(cls, path: "Path | str") -> "Simulator":
-        """Load a checkpoint file and return the restored simulator.
+        """Load a :meth:`save_checkpoint` file and return the restored
+        simulator, ready to :meth:`run` on from where it was saved.
 
         Equivalent to ``load_checkpoint(path).resume()`` — restores
         process-global counters and, under ``sanitize=True``, audits the
@@ -534,7 +473,13 @@ class Simulator:
         return restored
 
     def save_checkpoint(self, path: "Path | str") -> None:
-        """Snapshot this simulator to ``path`` (see :mod:`repro.checkpoint`)."""
+        """Snapshot this simulator to ``path`` (see :mod:`repro.checkpoint`).
+
+        The whole object graph reachable from the simulator is saved —
+        its heap reaches every live component — so a caller registers
+        (:meth:`register_component`) only the objects it wants to find
+        again by name after :meth:`resume`.
+        """
         from repro.checkpoint.snapshot import save_checkpoint
 
         save_checkpoint(self, path)
@@ -542,31 +487,16 @@ class Simulator:
     # ------------------------------------------------------------------
     # Component registry
     # ------------------------------------------------------------------
-    def register_component(
-        self, name: str, component: Any, replace: bool = True
-    ) -> None:
-        """Register a named component with this simulator.
+    def register_component(self, name: str, component: Any) -> None:
+        """Register a named component with this simulator (a reused
+        name replaces the earlier entry).
 
-        Purely passive bookkeeping (no events, no behavior change):
-        the checkpoint subsystem snapshots the registry with the graph
-        and callers use :meth:`component` to find their objects again
-        after a resume.  Agents, links, and networks self-register at
-        construction; ``replace=True`` (the default) lets repeated
-        hand-built scenarios reuse names, while ``replace=False`` turns
-        an accidental collision into a :class:`SimulationError`.
+        Purely passive bookkeeping (no events, no behavior change): a
+        checkpoint carries the registry with the graph, and callers use
+        :meth:`component` to find their objects again after a resume.
+        Nothing registers itself.
         """
-        if not replace and name in self._components:
-            raise SimulationError(f"component {name!r} is already registered")
         self._components[name] = component
-
-    def deregister_component(self, name: str) -> None:
-        """Drop a component from the registry (missing names are ignored).
-
-        Long-horizon scenarios with flow churn retire completed agents
-        this way so the registry (and checkpoint payloads) stay bounded
-        by the *live* population, not everything that ever ran.
-        """
-        self._components.pop(name, None)
 
     def component(self, name: str) -> Any:
         """Look up a registered component by name.
@@ -581,11 +511,6 @@ class Simulator:
                 f"no component registered as {name!r} "
                 f"(known: {sorted(self._components)})"
             ) from None
-
-    @property
-    def components(self) -> Dict[str, Any]:
-        """A copy of the name -> component registry."""
-        return dict(self._components)
 
     def step(self) -> bool:
         """Dispatch the single next pending event.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Any, Dict, Mapping
+from typing import Dict
 
 
 def derive_child_seed(master_seed: int, name: str) -> int:
@@ -54,30 +54,3 @@ class RngRegistry:
     def names(self) -> list[str]:
         """Names of all streams created so far (sorted, for debugging)."""
         return sorted(self._streams)
-
-    # ------------------------------------------------------------------
-    # StatefulComponent protocol (see repro.checkpoint.state)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Master seed plus the exact Mersenne state of every stream."""
-        return {
-            "master_seed": self.master_seed,
-            "streams": {
-                name: stream.getstate()
-                for name, stream in sorted(self._streams.items())
-            },
-        }
-
-    def restore_state(self, state: Mapping[str, Any]) -> None:
-        """Rebuild every stream exactly where the snapshot left it.
-
-        Streams absent from the snapshot are dropped: a resumed run must
-        not inherit streams the snapshotted run never created.
-        """
-        self.master_seed = int(state["master_seed"])
-        streams: Dict[str, random.Random] = {}
-        for name, rng_state in state["streams"].items():
-            stream = random.Random()
-            stream.setstate(rng_state)
-            streams[name] = stream
-        self._streams = streams

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.net.node import Agent
 from repro.net.packet import Packet
@@ -424,26 +424,6 @@ class TcpSenderBase(Agent):
 
     def _on_timeout_hook(self) -> None:
         """Extra timeout processing for subclasses (e.g. scoreboard)."""
-
-    # ------------------------------------------------------------------
-    # StatefulComponent protocol (see repro.checkpoint.state)
-    # ------------------------------------------------------------------
-    #: Wiring excluded from snapshots: the engine references, the probe,
-    #: the live RTO heap handle, and the cached callback/labels.
-    #: Subclasses with extra live handles extend this set.
-    _SNAPSHOT_EXCLUDE = frozenset(
-        {"sim", "node", "obs", "_timer_handle", "_rto_cb", "_label_rto", "_label_start"}
-    )
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        from repro.checkpoint.state import snapshot_object
-
-        return snapshot_object(self, exclude=self._SNAPSHOT_EXCLUDE)
-
-    def restore_state(self, state: Mapping[str, Any]) -> None:
-        from repro.checkpoint.state import restore_object
-
-        restore_object(self, state)
 
     def __repr__(self) -> str:
         return (

@@ -17,7 +17,7 @@ above the cumulative point.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.net.node import Agent
 from repro.net.packet import ACK_SIZE_BYTES, Packet
@@ -269,25 +269,6 @@ class TcpReceiver(Agent):
                 if block not in blocks:
                     blocks.append(block)
         return blocks
-
-    # ------------------------------------------------------------------
-    # StatefulComponent protocol (see repro.checkpoint.state)
-    # ------------------------------------------------------------------
-    #: Wiring excluded from snapshots: engine references, the probe,
-    #: the live delayed-ACK handle, and the cached label.
-    _SNAPSHOT_EXCLUDE = frozenset(
-        {"sim", "node", "obs", "_delack_handle", "_label_delack"}
-    )
-
-    def snapshot_state(self) -> "Dict[str, Any]":
-        from repro.checkpoint.state import snapshot_object
-
-        return snapshot_object(self, exclude=self._SNAPSHOT_EXCLUDE)
-
-    def restore_state(self, state: "Mapping[str, Any]") -> None:
-        from repro.checkpoint.state import restore_object
-
-        restore_object(self, state)
 
     def __repr__(self) -> str:
         return (

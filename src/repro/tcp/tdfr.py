@@ -30,12 +30,6 @@ class TdfrSender(NewRenoSender):
     #: RTT fallback used before the first RTT sample exists.
     DEFAULT_RTT = 0.5
 
-    #: The fast-recovery timer is a live heap handle, like the base RTO.
-    _SNAPSHOT_EXCLUDE = NewRenoSender._SNAPSHOT_EXCLUDE | {
-        "_fr_timer",
-        "_label_tdfr",
-    }
-
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._first_dup_time: Optional[float] = None

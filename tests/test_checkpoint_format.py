@@ -13,7 +13,6 @@ from repro.checkpoint import (
     CheckpointCorruptError,
     CheckpointError,
     CheckpointFormatError,
-    inspect_checkpoint,
     load_checkpoint,
     save_checkpoint,
 )
@@ -132,7 +131,7 @@ def test_malformed_header_names_container(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Whole-checkpoint layer (save/load/inspect)
+# Whole-checkpoint layer (save/load)
 # ----------------------------------------------------------------------
 def _tick():
     pass
@@ -145,14 +144,14 @@ def test_save_load_inspect_round_trip(tmp_path):
     sim.post_in(1.5, _tick, None, "tick")
     save_checkpoint(sim, path, user_meta={"cell": "fixture"})
 
-    info = inspect_checkpoint(path)
-    assert info["meta"]["now"] == 0.0
-    assert info["meta"]["pending_events"] == 1
-    assert info["meta"]["rng_streams"] == ["noise"]
-    assert info["meta"]["user_meta"] == {"cell": "fixture"}
-    assert set(info["sections"]) == {"meta", "globals", "rng", "graph"}
+    assert set(read_container(path)) == {"meta", "globals", "rng", "graph"}
+    loaded = load_checkpoint(path)
+    assert loaded.meta["now"] == 0.0
+    assert loaded.meta["pending_events"] == 1
+    assert loaded.meta["rng_streams"] == ["noise"]
+    assert loaded.meta["user_meta"] == {"cell": "fixture"}
 
-    restored = load_checkpoint(path).resume()
+    restored = loaded.resume()
     assert restored.now == sim.now
     assert restored.pending_events == 1
 

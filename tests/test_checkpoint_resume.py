@@ -16,14 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.app.bulk import BulkTransfer
-from repro.checkpoint import (
-    CellPlan,
-    cell_plan,
-    checkpointable,
-    inspect_checkpoint,
-    load_checkpoint,
-    save_checkpoint,
-)
+from repro.checkpoint import load_checkpoint, save_checkpoint
 from repro.core import engine_select
 from repro.core.pr import PrConfig
 from repro.experiments.fig6_multipath import (
@@ -137,20 +130,24 @@ def test_resume_across_processes(tmp_path):
     assert result["records"] == json.loads(json.dumps(records))
 
 
-def test_checkpoint_every_does_not_perturb(tmp_path):
+def test_save_checkpoint_does_not_perturb(tmp_path):
+    """Saving mid-run leaves the live run exactly as it was (the
+    benchmark's traced pass snapshots ``pr_bulk`` at its midpoint)."""
     variant, epsilon = CELLS[0]
     delivered, records = _run_uninterrupted(variant, epsilon)
 
     packet_mod.reset_uid_counter(0)
     inst = Instrumentation(trace=True)
-    path = tmp_path / "periodic.ckpt"
+    path = tmp_path / "midpoint.ckpt"
     with ambient(inst):
         net, flow = _build_cell(variant, epsilon)
         maybe_observe(net)
-        net.run(until=DURATION, checkpoint_every=1.5, checkpoint_path=path)
+        net.run(until=CUT)
+        net.sim.save_checkpoint(path)
+        net.run(until=DURATION)
     assert flow.receiver.delivered == delivered
     assert inst.to_records() == records
-    assert path.exists()  # the last boundary snapshot remains on disk
+    assert path.exists()
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +180,7 @@ def test_checkpoint_round_trips_across_builds(
     with engine_select.use_engine(save_engine):
         _save_partial(variant, epsilon, path)
     # The header records the producing build (provenance only).
-    assert inspect_checkpoint(path)["meta"]["engine"] == save_engine
+    assert load_checkpoint(path).meta["engine"] == save_engine
 
     packet_mod.reset_uid_counter(987654321)
     with engine_select.use_engine(load_engine):
@@ -198,73 +195,13 @@ def test_checkpoint_round_trips_across_builds(
     assert sim.component("obs").to_records() == records
 
 
-@pytest.mark.parametrize("engine_mode", _ENGINES[1:])
-def test_checkpoint_every_round_trips_on_compiled(tmp_path, engine_mode):
-    """``run(checkpoint_every=...)`` must snapshot the compiled engine
-    mid-run without perturbing it (the compiled run() delegates to the
-    checkpointed driver, which snapshots at event boundaries)."""
-    variant, epsilon = CELLS[0]
-    delivered, records = _run_uninterrupted(variant, epsilon)
-
-    packet_mod.reset_uid_counter(0)
-    inst = Instrumentation(trace=True)
-    path = tmp_path / "periodic.ckpt"
-    with engine_select.use_engine(engine_mode):
-        with ambient(inst):
-            net, flow = _build_cell(variant, epsilon)
-            maybe_observe(net)
-            net.run(until=DURATION, checkpoint_every=1.5, checkpoint_path=path)
-    assert flow.receiver.delivered == delivered
-    assert inst.to_records() == records
-    assert path.exists()
-    assert inspect_checkpoint(path)["meta"]["engine"] == engine_mode
-    # The boundary snapshot is itself resumable — on either build.
-    packet_mod.reset_uid_counter(424242)
-    resumed = Simulator.resume(path)
-    resumed.run(until=DURATION)
-    assert resumed.now == DURATION
-
-
 # ----------------------------------------------------------------------
-# Cell-function-level resume (the executor's view)
+# The Figure 6 cell function
 # ----------------------------------------------------------------------
-class _SimulatedCrash(RuntimeError):
-    pass
-
-
-def test_cell_function_resumes_from_checkpoint(tmp_path):
-    variant, epsilon = CELLS[0]
-    packet_mod.reset_uid_counter(0)
-    baseline = run_single_multipath_flow(
-        variant, epsilon, duration=DURATION, seed=SEED
-    )
-
-    plan = CellPlan(tmp_path / "cell.ckpt", every=1.0)
-
-    def build():
-        net, flow = _build_cell(variant, epsilon)
-        maybe_observe(net)
-        return {"net": net, "flow": flow}
-
-    packet_mod.reset_uid_counter(0)
-    with cell_plan(plan):
-        with pytest.raises(_SimulatedCrash):
-            with checkpointable(build) as scope:
-                assert not scope.resumed
-                scope.run(until=CUT)
-                raise _SimulatedCrash("process dies mid-cell")
-    assert plan.path.exists()  # crash leaves the snapshot for the retry
-
-    packet_mod.reset_uid_counter(424242)  # a "new process" starts dirty
-    with cell_plan(plan):
-        resumed = run_single_multipath_flow(
-            variant, epsilon, duration=DURATION, seed=SEED
-        )
-    assert resumed == baseline
-    assert not plan.path.exists()  # clean completion retires the snapshot
-
-
 def test_cell_function_unaffected_without_plan(tmp_path):
+    """The cell is a plain build-and-run: no ambient checkpoint plan (or
+    any other hidden state) exists to change it, so two calls with one
+    seed agree."""
     variant, epsilon = CELLS[1]
     packet_mod.reset_uid_counter(0)
     first = run_single_multipath_flow(variant, epsilon, duration=2.0, seed=3)

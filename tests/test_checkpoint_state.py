@@ -1,12 +1,17 @@
-"""StatefulComponent snapshot/restore round trips (property-based).
+"""Snapshot round trips through the one API, ``save_checkpoint`` /
+``Simulator.resume`` (property-based).
 
-A checkpoint is only as good as each component's snapshot: anything a
-class forgets to capture (or captures but cannot restore) surfaces here
-as a round-trip mismatch.  Equality is compared on the *pickled bytes*
-of the snapshots — several snapshotted objects (``Packet``, monitors)
-define no ``__eq__``, and byte equality is exactly the bit-identicality
-contract resume promises.
+A checkpoint saves the whole simulator graph, so anything it fails to
+capture shows up here as a restored flow that differs from the live one
+-- right after the restore, or once both run on.  Two things also ride
+the container in sections of their own and are checked on their own:
+the RNG registry (``rng``) and the process-global packet uid counter
+(``globals``).
 """
+
+import dataclasses
+import os
+import tempfile
 
 import pytest
 
@@ -14,7 +19,6 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.app.bulk import BulkTransfer
-from repro.checkpoint import StatefulComponent, snapshot_object, restore_object
 from repro.checkpoint import codec
 from repro.net import packet as packet_mod
 from repro.net.packet import Packet
@@ -30,23 +34,37 @@ _SETTINGS = settings(
 
 def _scenario(variant, seed, duration):
     net = DumbbellSpec(num_pairs=1, seed=seed).build().network
-    BulkTransfer(net, variant, "s0", "d0", flow_id=1)
+    flow = BulkTransfer(net, variant, "s0", "d0", flow_id=1)
+    net.sim.register_component("flow", flow)
     net.run(until=duration)
     return net
 
 
-def _stateful_components(sim):
-    components = {
-        name: comp
-        for name, comp in sim.components.items()
-        if isinstance(comp, StatefulComponent)
-    }
-    assert components, "scenario registered no stateful components"
-    return components
+def _state(sim):
+    """What a restored run must match: the engine counters and the
+    flow's sender and receiver."""
+    flow = sim.component("flow")
+    return (
+        sim.now,
+        sim.event_seq,
+        sim.pending_events,
+        dataclasses.asdict(flow.sender.stats),
+        flow.sender.cwnd,
+        flow.sender.snd_nxt,
+        flow.receiver.delivered,
+        flow.receiver.rcv_nxt,
+    )
+
+
+def _save_and_resume(sim):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sim.ckpt")
+        sim.save_checkpoint(path)
+        return Simulator.resume(path)
 
 
 # ----------------------------------------------------------------------
-# Per-component round trips over real figure-style scenarios
+# Whole-simulator round trips over real figure-style scenarios
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "variant", ["tcp-pr", "tdfr", "newreno", "dsack-nm", "ewma"]
@@ -55,11 +73,12 @@ def _stateful_components(sim):
 @given(seed=st.integers(0, 2**16), duration=st.floats(0.25, 1.5))
 def test_snapshot_restore_is_identity(variant, seed, duration):
     sim = _scenario(variant, seed, duration).sim
-    for name, comp in sorted(_stateful_components(sim).items()):
-        before = comp.snapshot_state()
-        comp.restore_state(before)
-        after = comp.snapshot_state()
-        assert codec.encode(before) == codec.encode(after), name
+    restored = _save_and_resume(sim)
+    assert _state(restored) == _state(sim)
+    # ... and stays identical when both run on.
+    for live in (sim, restored):
+        live.run(until=duration + 0.5)
+    assert _state(restored) == _state(sim)
 
 
 @pytest.mark.parametrize("variant", ["tcp-pr", "tdfr"])
@@ -67,54 +86,13 @@ def test_snapshot_restore_is_identity(variant, seed, duration):
 @given(seed=st.integers(0, 2**16))
 def test_restore_rolls_back_later_mutation(variant, seed):
     net = _scenario(variant, seed, duration=0.75)
-    sim = net.sim
-    components = _stateful_components(sim)
-    taken = {
-        name: codec.encode(comp.snapshot_state())
-        for name, comp in sorted(components.items())
-    }
-    net.run(until=1.5)  # mutate every component past the snapshot point
-    for name, comp in sorted(components.items()):
-        comp.restore_state(codec.decode(taken[name]))
-        assert codec.encode(comp.snapshot_state()) == taken[name], name
-
-
-def test_snapshot_excludes_wiring():
-    sim = _scenario("tcp-pr", seed=3, duration=0.5).sim
-    for name, comp in sorted(_stateful_components(sim).items()):
-        state = comp.snapshot_state()
-        excluded = getattr(type(comp), "_SNAPSHOT_EXCLUDE", frozenset())
-        assert not excluded & set(state), name
-        assert "sim" not in state, name
-
-
-# ----------------------------------------------------------------------
-# The generic object walker
-# ----------------------------------------------------------------------
-class _Slotted:
-    __slots__ = ("a", "b")
-
-    def __init__(self):
-        self.a = [1, 2]
-        self.b = {"k": 3}
-
-
-def test_snapshot_object_deepcopies():
-    obj = _Slotted()
-    state = snapshot_object(obj, exclude=frozenset())
-    obj.a.append(99)
-    assert state["a"] == [1, 2]
-    restore_object(obj, state)
-    assert obj.a == [1, 2] and obj.b == {"k": 3}
-
-
-def test_snapshot_object_respects_exclude():
-    obj = _Slotted()
-    state = snapshot_object(obj, exclude=frozenset({"b"}))
-    assert set(state) == {"a"}
-    obj.a = None
-    restore_object(obj, state)
-    assert obj.a == [1, 2] and obj.b == {"k": 3}
+    taken = _state(net.sim)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sim.ckpt")
+        net.sim.save_checkpoint(path)
+        net.run(until=1.5)  # mutate every component past the snapshot point
+        assert _state(net.sim) != taken
+        assert _state(Simulator.resume(path)) == taken
 
 
 # ----------------------------------------------------------------------
@@ -128,11 +106,12 @@ def test_rng_registry_roundtrip_replays_identically(seed, draws):
     for _ in range(draws):
         x.random()
         y.random()
-    snap = registry.snapshot_state()
+    # Exactly what save_checkpoint writes to the ``rng`` section.
+    snap = codec.encode(registry)
     expected = [x.random() for _ in range(5)] + [y.random() for _ in range(5)]
-    x.random()  # drift further so a no-op restore would be caught
-    registry.restore_state(snap)
-    x2, y2 = registry.stream("x"), registry.stream("y")
+    restored = codec.decode(snap)
+    assert restored.names() == ["x", "y"]
+    x2, y2 = restored.stream("x"), restored.stream("y")
     replayed = [x2.random() for _ in range(5)] + [y2.random() for _ in range(5)]
     assert replayed == expected
 
@@ -140,10 +119,9 @@ def test_rng_registry_roundtrip_replays_identically(seed, draws):
 def test_rng_registry_restore_drops_unknown_streams():
     registry = Simulator(seed=0).rng
     registry.stream("keep")
-    snap = registry.snapshot_state()
-    registry.stream("transient")
-    registry.restore_state(snap)
-    assert sorted(registry.snapshot_state()["streams"]) == ["keep"]
+    snap = codec.encode(registry)
+    registry.stream("transient")  # created after the snapshot
+    assert codec.decode(snap).names() == ["keep"]
 
 
 # ----------------------------------------------------------------------

@@ -130,6 +130,28 @@ def test_window_usage_error_names_a_preset_value(no_cells, capsys):
 
 
 # ----------------------------------------------------------------------
+# Mid-cell checkpointing is gone: the result cache is crash recovery
+# ----------------------------------------------------------------------
+SWEEP_COMMANDS = ["fig2", "fig3", "fig4", "fig6", "fig7", "compare", "scale"]
+
+
+@pytest.mark.parametrize(
+    "flag", [["--checkpoint-every", "1"], ["--resume"]],
+    ids=["checkpoint-every", "resume"],
+)
+@pytest.mark.parametrize("command", SWEEP_COMMANDS)
+def test_removed_checkpoint_flags_are_usage_errors(command, flag, no_cells, capsys):
+    err = _usage_error([command, *flag, "--no-cache"], capsys)
+    assert "unrecognized arguments" in err
+    assert flag[0] in err
+
+
+def test_ckpt_is_not_a_command(capsys):
+    err = _usage_error(["ckpt", "inspect", "x"], capsys)
+    assert "invalid choice: 'ckpt'" in err
+
+
+# ----------------------------------------------------------------------
 # Executor flags: --jobs / --no-cache / --cache-dir / --json
 # ----------------------------------------------------------------------
 def _fig4_tiny(*extra):

@@ -1,15 +1,15 @@
-"""The acceptance scenario for crash-safe sweeps: SIGKILL and re-invoke.
+"""The acceptance scenario for crash recovery: SIGKILL and run again.
 
-A subprocess runs a three-cell sweep with per-cell checkpointing; the
-test kills it -9 while the middle cell is stalled mid-run (checkpoints
-already on disk), then re-invokes the same sweep with ``resume=True``.
-The second invocation must complete with **zero lost and zero
-duplicated cells**: the finished cell is cache-served, the in-flight
-cell resumes from its checkpoint (same final result as an uninterrupted
-run), and the never-started cell runs fresh.
+A subprocess runs a three-cell sweep on a result cache; the test kills
+it -9 while the middle cell is stalled, then runs the same sweep again
+on the same cache, with no extra option.  The second run must finish
+with **zero lost and zero duplicated completed cells**: the finished
+cell is served by the cache, the cell that was in flight runs again
+from scratch (same result as an uninterrupted run), and the cell that
+never started runs once.
 
-Also here: unit tests for the journal itself and the torn-tail JSONL
-recovery it is built on.
+Also here: the torn-tail JSONL recovery that ``scale`` shard streams
+append through.
 """
 
 import json
@@ -21,80 +21,40 @@ import time
 
 import pytest
 
-from repro.exec.cache import ResultCache
-from repro.exec.journal import JournalState, SweepJournal, sweep_id_for
-from repro.exec.spec import SweepCell
-from repro.exec.testing import CHECKPOINT_CELL, checkpoint_cell
+from repro.exec.testing import flow_cell
 from repro.obs.export import JsonlAppender, read_jsonl, recover_jsonl_tail
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
-
-def _cells(log_path, block_path):
-    return [
-        SweepCell(
-            key="c0",
-            func=CHECKPOINT_CELL,
-            params={"duration": 1.5, "log_path": log_path, "tag": "c0"},
-            seed=11,
-        ),
-        SweepCell(
-            key="c1",
-            func=CHECKPOINT_CELL,
-            params={
-                "duration": 3.0,
-                "pause_at": 2.0,
-                "block_path": block_path,
-                "log_path": log_path,
-                "tag": "c1",
-            },
-            seed=22,
-        ),
-        SweepCell(
-            key="c2",
-            func=CHECKPOINT_CELL,
-            params={"duration": 1.5, "log_path": log_path, "tag": "c2"},
-            seed=33,
-        ),
-    ]
-
-
-_DRIVER = """
+_SWEEP = """
 import json, sys
 from pathlib import Path
 sys.path.insert(0, {src!r})
 from repro.exec.cache import ResultCache
 from repro.exec.runner import ParallelRunner
 from repro.exec.spec import SweepCell
-from repro.exec.testing import CHECKPOINT_CELL
+from repro.exec.testing import FLOW_CELL
 
 cache_dir, log_path, block_path = sys.argv[1:4]
 cells = [
-    SweepCell(key="c0", func=CHECKPOINT_CELL,
+    SweepCell(key="c0", func=FLOW_CELL,
               params={{"duration": 1.5, "log_path": log_path, "tag": "c0"}},
               seed=11),
-    SweepCell(key="c1", func=CHECKPOINT_CELL,
-              params={{"duration": 3.0, "pause_at": 2.0,
-                       "block_path": block_path, "log_path": log_path,
-                       "tag": "c1"}},
+    SweepCell(key="c1", func=FLOW_CELL,
+              params={{"duration": 3.0, "block_path": block_path,
+                       "log_path": log_path, "tag": "c1"}},
               seed=22),
-    SweepCell(key="c2", func=CHECKPOINT_CELL,
+    SweepCell(key="c2", func=FLOW_CELL,
               params={{"duration": 1.5, "log_path": log_path, "tag": "c2"}},
               seed=33),
 ]
-runner = ParallelRunner(
-    cache=ResultCache(root=Path(cache_dir)),
-    checkpoint_every=0.5,
-    resume=True,
-)
+runner = ParallelRunner(cache=ResultCache(root=Path(cache_dir)))
 results = runner.run_cells(cells)
 stats = runner.last_stats
 print(json.dumps({{
     "results": results,
     "cached": stats.cached,
     "executed": stats.executed,
-    "resumed": stats.resumed,
-    "reconciled": stats.reconciled,
 }}))
 """
 
@@ -116,166 +76,55 @@ def test_sigkill_mid_sweep_then_resume_loses_nothing(tmp_path):
     block_path = tmp_path / "block"
     block_path.write_text("")  # sentinel: c1 stalls while this exists
 
-    cells = _cells(str(log_path), str(block_path))
-    cache = ResultCache(root=cache_root)
-    journal = SweepJournal.for_cells(cells, root=cache.root, version=cache.version)
-    c1_ckpt = journal.checkpoint_path("c1")
+    def log_lines():
+        return log_path.read_text().splitlines() if log_path.exists() else []
 
-    driver = _DRIVER.format(src=SRC_DIR)
-    argv = [sys.executable, "-c", driver, str(cache_root), str(log_path), str(block_path)]
+    sweep = _SWEEP.format(src=SRC_DIR)
+    argv = [sys.executable, "-c", sweep, str(cache_root), str(log_path), str(block_path)]
 
-    # --- Phase 1: run until c1 has checkpointed, then SIGKILL. -----------
+    # --- Phase 1: run until c1 is stalled, then SIGKILL. -----------------
     victim = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
-        assert _wait_for(c1_ckpt.exists), (
-            "c1 never wrote a checkpoint; driver stderr:\n"
+        assert _wait_for(lambda: "c1:start" in log_lines()), (
+            "c1 never started; sweep stderr:\n"
             + (victim.stderr.read().decode() if victim.poll() is not None else "<still running>")
         )
-        # Give the cell a beat to advance past the snapshot; the exact
-        # kill instant does not matter — checkpoint writes are atomic,
-        # so *some* complete snapshot is always on disk from here on.
-        time.sleep(0.3)  # lint: allow-wallclock(test coordinates with a real worker process, not simulated time)
-        assert victim.poll() is None, "driver exited before the staged kill"
+        assert victim.poll() is None, "sweep exited before the staged kill"
         victim.send_signal(signal.SIGKILL)
         victim.wait(timeout=30)
     finally:
         if victim.poll() is None:
             victim.kill()
 
-    phase1_log = log_path.read_text()
-    assert "c0:fresh" in phase1_log and "c1:fresh" in phase1_log
-    assert "c2" not in phase1_log  # serial order: c2 never started
-    assert c1_ckpt.exists()
+    # Serial order: c0 finished (and was cached), c2 never started.
+    assert log_lines() == ["c0:start", "c1:start"]
 
-    # --- Phase 2: unblock and re-invoke the identical sweep. -------------
+    # --- Phase 2: unblock and run the identical sweep again. -------------
     block_path.unlink()
     done = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     payload = json.loads(done.stdout)
 
-    # Zero lost cells: all three results present and well-formed.
+    # Zero lost cells: all three results present, each equal to an
+    # uninterrupted in-process run.
     results = payload["results"]
     assert sorted(results) == ["c0", "c1", "c2"]
-    assert results["c1"]["resumed"] is True
-    assert results["c0"]["resumed"] is False
-    assert results["c2"]["resumed"] is False
-
-    # The resumed cell's result equals an uninterrupted in-process run.
     for key, duration, seed in (("c0", 1.5, 11), ("c1", 3.0, 22), ("c2", 1.5, 33)):
-        reference = checkpoint_cell(duration=duration, seed=seed)
-        assert results[key]["delivered"] == reference["delivered"], key
+        assert results[key] == flow_cell(duration=duration, seed=seed), key
 
-    # Zero duplicated cells: c0 was cache-served (no second "c0:" log
-    # line), c1 resumed rather than restarting, c2 ran exactly once.
-    log_lines = log_path.read_text().splitlines()
-    assert log_lines.count("c0:fresh") == 1
-    assert log_lines.count("c1:fresh") == 1
-    assert log_lines.count("c1:resumed") == 1
-    assert log_lines.count("c2:fresh") == 1
-    assert len(log_lines) == 4
-
+    # Zero duplicated completed cells: c0 was served by the cache, the
+    # killed c1 ran a second time from scratch, c2 ran once.
+    lines = log_lines()
+    assert lines.count("c0:start") == 1
+    assert lines.count("c1:start") == 2
+    assert lines.count("c2:start") == 1
+    assert len(lines) == 4
     assert payload["cached"] == 1  # c0
-    assert payload["executed"] == 2  # c1 (resumed) + c2
-    assert payload["resumed"] == 1  # c1
-
-    # Journal: everything finished ok; c1 and c2 took a second attempt
-    # (cell-start records are journalled at dispatch-set construction).
-    state = journal.load()
-    assert state.finished == {"c0": "ok", "c1": "ok", "c2": "ok"}
-    assert state.started["c0"] == 0
-    assert state.started["c1"] == 1
-    assert state.started["c2"] == 1
-    assert state.in_flight == []
-    assert not c1_ckpt.exists()  # completion retired the snapshot
+    assert payload["executed"] == 2  # c1 + c2
 
 
 # ----------------------------------------------------------------------
-# Journal unit tests
-# ----------------------------------------------------------------------
-def test_sweep_id_is_stable_and_content_sensitive():
-    cells = _cells(None, None)
-    assert sweep_id_for(cells) == sweep_id_for(list(cells))
-    changed_seed = _cells(None, None)
-    changed_seed[1] = SweepCell(
-        key=changed_seed[1].key,
-        func=changed_seed[1].func,
-        params=changed_seed[1].params,
-        seed=99,
-    )
-    assert sweep_id_for(changed_seed) != sweep_id_for(cells)
-    assert sweep_id_for(cells, version="other") != sweep_id_for(cells)
-
-
-def test_journal_replay_and_in_flight(tmp_path):
-    journal = SweepJournal(tmp_path, "abc123")
-    with journal:
-        journal.open(total=3)
-        journal.cell_started("a", attempt=0)
-        journal.cell_started("b", attempt=0)
-        journal.cell_finished("a", "ok")
-    state = journal.load()
-    assert state.total == 3
-    assert state.started == {"a": 0, "b": 0}
-    assert state.finished == {"a": "ok"}
-    assert state.in_flight == ["b"]
-    assert state.recovered_bytes == 0
-
-    # Re-invocation: a second attempt of b, then a failure status.
-    with journal:
-        journal.open(total=3)
-        journal.cell_started("b", attempt=1)
-        journal.cell_finished("b", "failed")
-    state = journal.load()
-    assert state.started["b"] == 1
-    assert state.finished == {"a": "ok", "b": "failed"}
-    assert state.in_flight == []
-
-
-def test_journal_load_recovers_torn_tail(tmp_path):
-    journal = SweepJournal(tmp_path, "torn")
-    with journal:
-        journal.open(total=1)
-        journal.cell_started("a", attempt=0)
-    with journal.path.open("ab") as handle:
-        handle.write(b'{"record": "cell-fin')  # kill mid-append
-    state = journal.load()
-    assert state.recovered_bytes > 0
-    assert state.started == {"a": 0}
-    assert state.finished == {}
-
-
-def test_journal_finish_retires_checkpoint(tmp_path):
-    journal = SweepJournal(tmp_path, "retire")
-    with journal:
-        journal.open(total=1)
-        ckpt = journal.checkpoint_path("a")
-        ckpt.write_bytes(b"stale snapshot")
-        journal.cell_finished("a", "ok")
-        assert not ckpt.exists()
-
-
-def test_journal_checkpoint_paths_are_safe_and_distinct(tmp_path):
-    journal = SweepJournal(tmp_path, "paths")
-    weird = journal.checkpoint_path("../../../etc: passwd\n")
-    assert weird.parent == journal.directory
-    assert weird.suffix == ".ckpt"
-    assert weird != journal.checkpoint_path("other")
-
-
-def test_journal_append_requires_open(tmp_path):
-    journal = SweepJournal(tmp_path, "closed")
-    with pytest.raises(ValueError):
-        journal.cell_started("a")
-
-
-def test_journal_state_defaults():
-    state = JournalState()
-    assert state.total is None
-    assert state.in_flight == []
-
-
-# ----------------------------------------------------------------------
-# Torn-tail JSONL recovery (the journal's durability primitive)
+# Torn-tail JSONL recovery (what ``scale`` shard streams append through)
 # ----------------------------------------------------------------------
 def test_recover_jsonl_tail_truncates_partial_line(tmp_path):
     path = tmp_path / "x.jsonl"

@@ -33,7 +33,7 @@ FIG6 = [
 #: Packages whose ``__init__`` re-exports lazily (``_EXPORTS``).
 LAZY_PACKAGES = (
     "repro", "repro.sim", "repro.net", "repro.core", "repro.tcp",
-    "repro.obs", "repro.exec", "repro.experiments",
+    "repro.obs", "repro.exec", "repro.experiments", "repro.faults",
 )
 
 #: What only a running cell needs: a figure the cache serves in full
@@ -180,6 +180,37 @@ def test_a_cache_warm_figure_loads_no_simulator(argv, tmp_path):
     assert _loaded(warm_modules, *CELL_ONLY) == []
 
 
+def test_a_cache_warm_fig7_plans_its_faults_without_the_injector(tmp_path):
+    """fig7 plans its cells from fault schedules, so a warm run needs
+    ``repro.faults.schedule`` -- and nothing that arms a schedule."""
+    argv = [
+        "fig7", "--protocols", "tcp-pr", "--outages", "0", "2",
+        "--duration", "8", "--period", "4",
+        "--cache-dir", str(tmp_path / "cache"),
+    ]
+    _spied_main(argv, tmp_path)
+    warm_modules, warm_served, _ = _spied_main(argv, tmp_path)
+    assert warm_served and all(cached == total for cached, total in warm_served)
+    assert "repro.faults.schedule" in warm_modules
+    cell_only = [name for name in CELL_ONLY if name != "repro.faults"]
+    assert _loaded(warm_modules, "repro.faults.injector", *cell_only) == []
+
+
+@pytest.mark.parametrize("argv", [
+    [*FIG6, "--jobs", "1"],
+    ["scale", "--topology", "dumbbell", "--pairs", "2", "--arrival-rate",
+     "3", "--size-dist", "fixed", "--mean-size", "20", "--duration", "4",
+     "--shards", "1", "--no-cache"],
+], ids=["fig6", "scale"])
+def test_a_cold_run_loads_no_checkpoint_module(argv, tmp_path):
+    """No command snapshots a simulator: crash recovery is the cache."""
+    modules = _modules_after(
+        f"from repro.cli import main; assert main({argv!r}) == 0", tmp_path
+    )
+    assert "repro.sim.engine" in modules  # the cells really ran here
+    assert _loaded(modules, "repro.checkpoint") == []
+
+
 def test_a_sweep_served_by_the_cache_imports_no_cell_module(tmp_path):
     cells = (
         "cells = [SweepCell(key=k, func='repro.exec.testing:ok_cell', "
@@ -249,6 +280,6 @@ def test_top_level_help_lists_every_command(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     listing = " ".join(capsys.readouterr().out.split())
-    assert len(COMMANDS) == 13
+    assert len(COMMANDS) == 12
     for name, help_line, _ in COMMANDS:
         assert f"{name} {help_line}" in listing

@@ -153,7 +153,7 @@ def test_cli_sarif_output_and_stats(tmp_path):
     run = sarif["runs"][0]
     rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
     # The catalog ships both the shallow and the deep families.
-    assert {"REP101", "REP111", "REP401", "REP402", "REP403"} <= rule_ids
+    assert {"REP101", "REP111", "REP401", "REP403"} <= rule_ids
     results = run["results"]
     assert any(r["ruleId"] == "REP101" for r in results)
     region = results[0]["locations"][0]["physicalLocation"]["region"]

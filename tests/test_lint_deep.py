@@ -230,68 +230,6 @@ def test_rep401_unmirrored_pure_method_fires(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# REP402: wiring attributes vs _SNAPSHOT_EXCLUDE
-# ----------------------------------------------------------------------
-def test_rep402_unexcluded_wiring_attr_fires(tmp_path):
-    pkg = write_tree(
-        tmp_path,
-        {
-            "src/repro/tcp/agent.py": """
-                class Agent:
-                    _SNAPSHOT_EXCLUDE = frozenset({"sim"})
-
-                    def __init__(self, sim, peer):
-                        self.sim = sim
-                        self.peer = peer
-                        self.extra = sim
-            """,
-        },
-    )
-    findings = deep_findings(pkg, "REP402")
-    assert len(findings) == 1, [f.format() for f in findings]
-    finding = findings[0]
-    assert "'self.extra'" in finding.message
-    assert "_SNAPSHOT_EXCLUDE" in finding.message
-
-
-def test_rep402_clean_when_excluded(tmp_path):
-    pkg = write_tree(
-        tmp_path,
-        {
-            "src/repro/tcp/agent.py": """
-                class Agent:
-                    _SNAPSHOT_EXCLUDE = frozenset({"sim", "extra"})
-
-                    def __init__(self, sim, peer):
-                        self.sim = sim
-                        self.peer = peer
-                        self.extra = sim
-            """,
-        },
-    )
-    assert not deep_findings(pkg, "REP402")
-
-
-def test_rep402_stale_exclude_entry_fires(tmp_path):
-    pkg = write_tree(
-        tmp_path,
-        {
-            "src/repro/tcp/agent.py": """
-                class Agent:
-                    _SNAPSHOT_EXCLUDE = frozenset({"sim", "ghost"})
-
-                    def __init__(self, sim):
-                        self.sim = sim
-            """,
-        },
-    )
-    findings = deep_findings(pkg, "REP402")
-    assert len(findings) == 1, [f.format() for f in findings]
-    assert "'ghost'" in findings[0].message
-    assert "stale" in findings[0].message
-
-
-# ----------------------------------------------------------------------
 # REP403: emitted record kinds/fields vs docs/OBSERVABILITY.md
 # ----------------------------------------------------------------------
 OBS_DOC = """\

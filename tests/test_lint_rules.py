@@ -226,6 +226,8 @@ def test_pickle_positive_import():
         data = pickle.dumps({})
     """
     assert flagged(src, "exec/runner.py", "pickle")
+    # The result cache stores JSON; it has no pickle exemption.
+    assert flagged(src, "exec/cache.py", "pickle")
 
 
 def test_pickle_positive_from_import_and_friends():
@@ -248,7 +250,6 @@ def test_pickle_negative_in_checkpoint_subsystem():
         data = pickle.dumps({})
     """
     assert not flagged(src, "checkpoint/codec.py", "pickle")
-    assert not flagged(src, "exec/cache.py", "pickle")
 
 
 def test_pickle_negative_unrelated_module_name():
@@ -439,7 +440,7 @@ def test_compiled_compat_negative_outside_allowlist():
                 setattr(obj, name, value)
             return obj.__dict__
     """
-    assert not flagged(src, "checkpoint/state.py", "compiled-compat")
+    assert not flagged(src, "checkpoint/snapshot.py", "compiled-compat")
 
 
 def test_compiled_compat_negative_none_assignment_and_del_local():

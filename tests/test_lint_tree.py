@@ -30,7 +30,7 @@ def test_tree_is_clean():
 @pytest.mark.lint
 def test_tree_is_deep_clean():
     # The whole-program passes (interprocedural taint REP11x, the
-    # C-mirror / snapshot / obs-schema drift checks REP4xx) must also
+    # C-mirror / obs-schema drift checks REP4xx) must also
     # hold over the real tree.  Runs through the default on-disk cache,
     # so a warm checkout re-verifies in milliseconds.
     from repro.lint import run_analysis

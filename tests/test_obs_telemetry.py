@@ -13,7 +13,7 @@ from repro.exec.telemetry import (
     SweepTelemetry,
     summaries_from_records,
 )
-from repro.exec.testing import BOOM_CELL, CHECKPOINT_CELL, METRIC_CELL
+from repro.exec.testing import BOOM_CELL, FLOW_CELL, METRIC_CELL
 from repro.obs.export import trace_event_record, trace_line
 from repro.obs.trace import TraceEvent
 
@@ -56,7 +56,7 @@ def test_collected_streams_do_not_depend_on_jobs_or_completion_order():
     def streams(jobs):
         runner = ParallelRunner(jobs=jobs, collect_metrics=True, collect_trace=True)
         runner.run_cells([
-            SweepCell(key=key, func=CHECKPOINT_CELL,
+            SweepCell(key=key, func=FLOW_CELL,
                       params={"duration": duration}, seed=7)
             for key, duration in (("long", 2.0), ("short", 0.2))
         ])
