@@ -6,8 +6,9 @@ and records flows/sec and peak RSS into
 
 * ``-m bench_scale -k smoke`` — a ~2k-flow fat-tree sharded across 4
   workers, a few seconds; asserts the bounded-memory contract (peak
-  worker RSS under a generous absolute ceiling — per-flow state is
-  reaped, so RSS tracks the *live* population, not the total).
+  worker RSS under a generous absolute ceiling — each flow is retired
+  at the ACK that completes it, so RSS tracks the *live* population,
+  not the total).
 * ``-m bench_scale -k 100k`` — the acceptance run: a >=100k-flow
   fat-tree scenario sharded across the pool, streaming per-flow records
   to disk, with the same RSS ceiling.
@@ -37,7 +38,10 @@ BENCH_PATH = Path(__file__).parent / "results" / "BENCH_scale.json"
 #: parent interpreter's footprint (~40 MiB with the test harness), so
 #: the ceiling is generous — what matters is that it does NOT scale
 #: with the flow population (100k flows x ~1 KiB of retained per-flow
-#: state would add ~100 MiB and trip it).
+#: state would add ~100 MiB and trip it).  It is far too loose to see
+#: finished flows kept even one simulated second too long (~1,400 per
+#: shard at 5,500 arrivals/s, ~20 MiB); ``tests/test_scenarios_shard.py``
+#: bounds the live set itself.
 RSS_CEILING_KB = 300_000
 
 

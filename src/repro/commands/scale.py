@@ -101,7 +101,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         scenario=scenario,
         num_shards=shards,
         stream_path=args.metrics_out,
-        reap_interval=args.reap_interval,
     )
     # Cached shard cells return their summary without re-writing the
     # per-flow stream, so a streamed run must execute every shard.
@@ -179,8 +178,6 @@ def add_parser(sub: Any, name: str, help_line: str, common: List[Any]) -> None:
                        help="scenario horizon (simulated seconds)")
     scale.add_argument("--shards", type=int, default=None,
                        help="flow-group shards (default: max(--jobs, 1))")
-    scale.add_argument("--reap-interval", type=float, default=1.0,
-                       help="sim-time period of the in-shard flow reaper")
     scale.add_argument("--name", default="scenario",
                        help="scenario name recorded in specs and streams")
     scale.add_argument("--spec-out", metavar="PATH", default=None,

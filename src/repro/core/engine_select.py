@@ -288,11 +288,19 @@ def use_engine(mode: str) -> Iterator[EngineInfo]:
     Simulators constructed inside the ``with`` block use the forced
     build; previously constructed simulators are untouched (selection is
     per construction).  Restores the prior selection on exit, including
-    the environment variable.
+    the environment variable and the hook classes saved on entry — put
+    back as they were, not imported again, so leaving the block never
+    raises.  Hooks of modules first imported inside the block go back
+    to pure; the next construction re-resolves them lazily.
     """
     global _active
     previous = _active
     previous_env = os.environ.get(ENV_VAR)
+    saved = {
+        (module_name, hook): getattr(sys.modules[module_name], hook)
+        for module_name, hook, _ in _HOOKS
+        if module_name in sys.modules
+    }
     info = activate(mode)
     try:
         yield info
@@ -302,11 +310,10 @@ def use_engine(mode: str) -> Iterator[EngineInfo]:
         else:
             os.environ[ENV_VAR] = previous_env
         _active = previous
-        if previous is None:
-            _install(None)
-            # Next construction re-resolves lazily from the environment.
-        elif "repro.sim.engine" in sys.modules:
-            install()
+        for module_name, hook, _ in _HOOKS:
+            module = sys.modules.get(module_name)
+            if module is not None:
+                setattr(module, hook, saved.get((module_name, hook)))
 
 
 # ----------------------------------------------------------------------

@@ -50,7 +50,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.estimator import MaxRttEstimator
 from repro.net.node import Agent
@@ -204,6 +204,9 @@ class TcpPrSender(Agent):
         #: Metrics probe installed by repro.obs (None = not observed;
         #: every hook below is a single is-not-None check then).
         self.obs: Optional[Any] = None
+        #: Called with this sender once, at the end of the ``receive``
+        #: in which :attr:`done` first turns true (None = nobody asked).
+        self.on_complete: Optional[Callable[["TcpPrSender"], None]] = None
         self._retransmitted: Set[int] = set()
         #: Transient mxrtt inflation (Section 3.2).  The paper's update
         #: rule ``mxrtt := beta * ewrtt`` runs on every ACK, so a forced
@@ -268,18 +271,24 @@ class TcpPrSender(Agent):
         acked = self._collect_acked(packet)
         if packet.ack > self.cum_ack:
             self.cum_ack = packet.ack
-        if not acked:
-            return  # duplicate ACK with no new information: ignored by design
-        # Progress resumes: the next "mxrtt := beta * ewrtt" assignment
-        # (inside per-packet processing) supersedes any forced inflation.
-        self._mxrtt_override = None
-        for seq in acked:
-            self._process_acked_packet(seq)
-        if self.obs is not None:
-            self.obs.on_ack(self)
-        self._flush_cwnd()
-        if self.sim.sanitize:
-            self._sanitize_check()
+        # An ACK with no newly acked packet is ignored by design, but it
+        # may have cancelled the last pending retransmission.
+        if acked:
+            # Progress resumes: the next "mxrtt := beta * ewrtt"
+            # assignment (inside per-packet processing) supersedes any
+            # forced inflation.
+            self._mxrtt_override = None
+            for seq in acked:
+                self._process_acked_packet(seq)
+            if self.obs is not None:
+                self.obs.on_ack(self)
+            self._flush_cwnd()
+            if self.sim.sanitize:
+                self._sanitize_check()
+        callback = self.on_complete
+        if callback is not None and self.done:
+            self.on_complete = None
+            callback(self)
 
     def _collect_acked(self, packet: Packet) -> List[int]:
         """Packets newly acknowledged by this ACK (cumulative + SACK)."""

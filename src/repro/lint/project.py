@@ -31,7 +31,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.lint.engine import ParsedModule, parse_module
+from repro.lint.engine import ParsedModule
 
 __all__ = [
     "ClassSummary",
@@ -189,7 +189,6 @@ class ClassSummary:
     bases: Tuple[str, ...] = ()
     #: ``__slots__`` entries when declared as a literal.
     slots: Tuple[str, ...] = ()
-    has_slots: bool = False
     #: Method names defined in the class body (including properties).
     methods: Tuple[str, ...] = ()
 
@@ -199,7 +198,6 @@ class ClassSummary:
             "line": self.line,
             "bases": list(self.bases),
             "slots": list(self.slots),
-            "has_slots": self.has_slots,
             "methods": list(self.methods),
         }
 
@@ -210,7 +208,6 @@ class ClassSummary:
             line=int(data["line"]),
             bases=tuple(str(b) for b in data.get("bases", ())),
             slots=tuple(str(s) for s in data.get("slots", ())),
-            has_slots=bool(data.get("has_slots", False)),
             methods=tuple(str(m) for m in data.get("methods", ())),
         )
 
@@ -641,7 +638,6 @@ class _ModuleIndexer:
             if raw is not None:
                 bases.append(raw)
         slots: List[str] = []
-        has_slots = False
         methods: List[str] = []
 
         for stmt in node.body:
@@ -657,21 +653,20 @@ class _ModuleIndexer:
                     t.id for t in targets if isinstance(t, ast.Name)
                 ]
                 value = stmt.value
-                if "__slots__" in names:
-                    has_slots = True
-                    if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-                        for element in value.elts:
-                            if isinstance(element, ast.Constant) and isinstance(
-                                element.value, str
-                            ):
-                                slots.append(element.value)
+                if "__slots__" in names and isinstance(
+                    value, (ast.Tuple, ast.List, ast.Set)
+                ):
+                    for element in value.elts:
+                        if isinstance(element, ast.Constant) and isinstance(
+                            element.value, str
+                        ):
+                            slots.append(element.value)
 
         return ClassSummary(
             name=node.name,
             line=node.lineno,
             bases=tuple(bases),
             slots=tuple(slots),
-            has_slots=has_slots,
             methods=tuple(methods),
         )
 

@@ -21,12 +21,11 @@ across workers.
 
 Bounded memory is the other contract.  Inside a shard, flows are
 *admitted* lazily from the workload generator at their start times and
-*retired* by a periodic sim-time reaper once fully delivered (their
-per-flow record is streamed to the shard's
-:class:`~repro.obs.export.JsonlAppender` and the agents leave their
-nodes), so resident state tracks the live population — not
-everything that ever ran — and per-flow results are never assembled in
-memory.
+*retired* at the ACK that completes them (their per-flow record is
+streamed to the shard's :class:`~repro.obs.export.JsonlAppender` and the
+agents leave their nodes), so resident state is the live population —
+not everything that ever ran — and per-flow results are never
+assembled in memory.
 """
 
 from __future__ import annotations
@@ -71,12 +70,13 @@ def _max_rss_kb() -> int:
 
 
 class _ShardDriver:
-    """Lazy admission + reaping of one shard's flows inside a simulation.
+    """Lazy admission + retirement at completion of one shard's flows.
 
     Holds the shard's slice of the workload generator; an admission
-    event chain constructs each :class:`BulkTransfer` at its start time
-    and a periodic reaper retires completed flows (streams their record,
-    detaches their agents from their nodes) so live state stays bounded.
+    event chain constructs each :class:`BulkTransfer` at its start time,
+    and each sender's completion callback retires its flow (streams its
+    record, detaches its agents from their nodes) so live state is only
+    the flows still transferring.
     """
 
     def __init__(
@@ -85,12 +85,10 @@ class _ShardDriver:
         flows: Iterator[FlowSpec],
         appender: Optional[JsonlAppender],
         cell: str,
-        reap_interval: float,
     ) -> None:
         self.network = network
         self.sim = network.sim
         self.cell = cell
-        self.reap_interval = reap_interval
         self._flows = flows
         self._pending: Optional[FlowSpec] = next(flows, None)
         self._appender = appender
@@ -106,24 +104,14 @@ class _ShardDriver:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Arm the admission chain and the reaper.
+        """Arm the admission chain.
 
-        Both arms are posted as one batch.  The admission chain stays
-        lazy on purpose — one pending event per distinct start time, so
-        the flow iterator is never drained ahead of the clock and live
-        heap state stays bounded; the genuinely block-shaped schedules
-        (trace-replay injection) use :meth:`Simulator.post_batch` with
-        their full event list instead.
+        The chain stays lazy on purpose — one pending event per distinct
+        start time, so the flow iterator is never drained ahead of the
+        clock and live heap state stays bounded.
         """
-        events = []
         if self._pending is not None:
-            events.append((self._pending.start, self._admit, None, ""))
-        if self.reap_interval > 0:
-            events.append(
-                (self.sim.now + self.reap_interval, self._reap_tick, None, "")
-            )
-        if events:
-            self.sim.post_batch(events)
+            self.sim.post(self._pending.start, self._admit)
 
     def _admit(self) -> None:
         now = self.sim.now
@@ -162,6 +150,7 @@ class _ShardDriver:
                 ),
             )
             maybe_observe(flow)
+            flow.sender.on_complete = self._on_complete
             self.active[flow_spec.flow_id] = flow
             self._sizes[flow_spec.flow_id] = size
             self._starts[flow_spec.flow_id] = flow_spec.start
@@ -175,17 +164,8 @@ class _ShardDriver:
         if self._pending is not None:
             self.sim.post(self._pending.start, self._admit)
 
-    # ------------------------------------------------------------------
-    def _reap_tick(self) -> None:
-        done = [
-            flow_id
-            for flow_id, flow in self.active.items()
-            if flow.sender.done
-        ]
-        for flow_id in done:
-            self._retire(flow_id)
-        if self.active or self._pending is not None:
-            self.sim.post_in(self.reap_interval, self._reap_tick)
+    def _on_complete(self, sender: Any) -> None:
+        self._retire(sender.flow_id)
 
     def _retire(self, flow_id: int) -> None:
         """Record and release one flow (its agents leave their nodes)."""
@@ -248,7 +228,6 @@ def run_shard_cell(
     shard_index: int,
     num_shards: int,
     stream_path: Optional[str] = None,
-    reap_interval: float = 1.0,
     seed: int,
 ) -> Dict[str, Any]:
     """One shard of a scenario: build, admit, run, stream, summarize.
@@ -293,9 +272,7 @@ def run_shard_cell(
         else None
     )
     try:
-        driver = _ShardDriver(
-            network, flows, appender, cell, reap_interval=reap_interval
-        )
+        driver = _ShardDriver(network, flows, appender, cell)
         driver.start()
         network.run(until=spec.duration)
         driver.finish()
@@ -372,8 +349,7 @@ class ShardPlan(ExperimentSpec):
     ``stream_path`` (optional) is where every shard appends its
     ``repro.obs/v1`` flow records; concurrent shards share the file
     safely through :class:`~repro.obs.export.JsonlAppender`'s atomic
-    appends.  ``reap_interval`` is the sim-time period of the in-shard
-    flow reaper.
+    appends.
 
     Two stream caveats under the executor's failure policy (see
     ``docs/SCENARIOS.md``): a shard killed mid-append can leave one torn
@@ -395,15 +371,10 @@ class ShardPlan(ExperimentSpec):
     )
     num_shards: int = 1
     stream_path: Optional[str] = None
-    reap_interval: float = 1.0
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
-        if self.reap_interval <= 0:
-            raise ValueError(
-                f"reap_interval must be positive, got {self.reap_interval}"
-            )
 
     @property
     def seed(self) -> int:
@@ -430,7 +401,6 @@ class ShardPlan(ExperimentSpec):
                     "shard_index": index,
                     "num_shards": self.num_shards,
                     "stream_path": self.stream_path,
-                    "reap_interval": self.reap_interval,
                 },
                 seed=self.shard_seed(index),
             )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.net.node import Agent
 from repro.net.packet import Packet
@@ -130,6 +130,9 @@ class TcpSenderBase(Agent):
         #: Metrics probe installed by repro.obs (None = not observed;
         #: every hook below is a single is-not-None check then).
         self.obs: Optional[Any] = None
+        #: Called with this sender once, at the end of the ``receive``
+        #: in which :attr:`done` first turns true (None = nobody asked).
+        self.on_complete: Optional[Callable[["TcpSenderBase"], None]] = None
         self._started = False
         #: The one live RTO heap event (None = disarmed).  Restarts that
         #: only push the deadline *later* don't touch the heap — the
@@ -174,6 +177,11 @@ class TcpSenderBase(Agent):
         self._process_ack_options(packet)
         if packet.ack > self.snd_una:
             self._on_new_ack(packet)
+            # Only a new ACK advances snd_una, so only it can finish.
+            callback = self.on_complete
+            if callback is not None and self.done:
+                self.on_complete = None
+                callback(self)
         elif packet.ack == self.snd_una and self.flightsize() > 0:
             self._on_dupack(packet)
         # else: stale ACK below snd_una — ignore.

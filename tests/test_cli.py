@@ -146,6 +146,12 @@ def test_removed_checkpoint_flags_are_usage_errors(command, flag, no_cells, caps
     assert flag[0] in err
 
 
+def test_removed_reap_interval_is_a_usage_error(no_cells, capsys):
+    """Shards retire each flow at its last ACK; the reaper's period is gone."""
+    err = _usage_error(["scale", "--reap-interval", "1", "--no-cache"], capsys)
+    assert "unrecognized arguments: --reap-interval 1" in err
+
+
 def test_ckpt_is_not_a_command(capsys):
     err = _usage_error(["ckpt", "inspect", "x"], capsys)
     assert "invalid choice: 'ckpt'" in err

@@ -6,8 +6,9 @@ import pytest
 
 from repro.app.bulk import BulkTransfer
 from repro.app.onoff import DatagramSink, OnOffSource
-from repro.core.pr import TcpPrSender
+from repro.core.pr import PrConfig, TcpPrSender
 from repro.net.network import Network, install_static_routes
+from repro.tcp.base import TcpConfig
 from repro.tcp.dsack_response import DsackSender
 from repro.tcp.registry import available_variants, canonical_name, make_sender
 from repro.tcp.sack import SackSender
@@ -114,6 +115,62 @@ def test_bulk_transfer_validates_interval():
     flow = BulkTransfer(net, "sack", "a", "b", flow_id=1)
     with pytest.raises(ValueError):
         flow.throughput_bps(0.0)
+
+
+def _watched_transfer(variant, total_segments):
+    """A transfer over a 5-packet queue (slow start overflows it, so the
+    retransmit paths run) whose sender logs every ACK it handles as
+    ``(done before, done after, completion callbacks so far)``."""
+    net = Network(seed=0)
+    net.add_nodes("a", "b")
+    net.add_duplex_link("a", "b", bandwidth=1e6, delay=0.01, queue=5)
+    install_static_routes(net)
+    flow = BulkTransfer(
+        net, variant, "a", "b", flow_id=1,
+        tcp_config=TcpConfig(total_segments=total_segments),
+        pr_config=PrConfig(total_segments=total_segments),
+    )
+    sender = flow.sender
+    calls = []
+    sender.on_complete = lambda finished: calls.append(
+        (finished is sender, finished.done)
+    )
+    acks = []
+    receive = sender.receive
+
+    def watched(packet):
+        before = sender.done
+        receive(packet)
+        acks.append((before, sender.done, len(calls)))
+
+    sender.receive = watched
+    return net, flow, calls, acks
+
+
+@pytest.mark.parametrize("variant", available_variants())
+def test_completion_callback_fires_once_at_the_finishing_ack(variant):
+    net, flow, calls, acks = _watched_transfer(variant, total_segments=200)
+    net.run(until=60.0)
+    assert flow.sender.done
+    assert net.total_drops() > 0  # the loss-recovery paths ran
+    assert calls == [(True, True)]
+    finishing = [i for i, (before, after, _) in enumerate(acks)
+                 if after and not before]
+    assert len(finishing) == 1
+    # No callback before that ACK, exactly one from it on.
+    assert [fired for _, _, fired in acks] == [
+        0 if i < finishing[0] else 1 for i in range(len(acks))
+    ]
+    assert flow.sender.on_complete is None
+
+
+@pytest.mark.parametrize("variant", available_variants())
+def test_completion_callback_never_fires_uncapped(variant):
+    net, flow, calls, acks = _watched_transfer(variant, total_segments=None)
+    net.run(until=3.0)
+    assert len(acks) > 100
+    assert not flow.sender.done
+    assert calls == []
 
 
 # ----------------------------------------------------------------------

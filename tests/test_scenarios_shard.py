@@ -14,8 +14,8 @@ from repro.scenarios import (
     run_scale,
     run_shard_cell,
 )
-from repro.scenarios.shard import build_shard_network
-from repro.topologies import DumbbellSpec, WanMeshSpec
+from repro.scenarios.shard import _ShardDriver, build_shard_network
+from repro.topologies import DumbbellSpec, FatTreeSpec, WanMeshSpec
 
 
 def _pinned_scenario(seed=7):
@@ -105,9 +105,70 @@ def test_shards_partition_the_population():
     seen = []
     for cell in plan.cells():
         summary = cell.run()
-        assert summary["live_agents"] == 0  # the reaper retired everything
+        assert summary["live_agents"] == 0  # every flow was retired
         seen.append(summary["flows"])
     assert sum(seen) == len(all_ids)
+
+
+def _fat_tree_shard(rate, stream_path, duration=1.0):
+    """Drive one fat-tree shard of 2-segment flows; return the driver,
+    the high-water of its live flows and the agents left on nodes."""
+    spec = ScenarioSpec(
+        topology=FatTreeSpec(k=4, hosts_per_edge=2, seed=3),
+        workload=WorkloadSpec(
+            arrival="poisson",
+            arrival_rate=rate,
+            size="fixed",
+            mean_size_segments=2.0,
+        ),
+        duration=duration,
+        seed=3,
+        name="live-bound",
+    )
+    network = build_shard_network(spec, 3).network
+    appender = JsonlAppender(str(stream_path), scenario=spec.name)
+    driver = _ShardDriver(network, iter(spec.flows()), appender, "shard/0")
+    high_water = 0
+    admit = driver._admit
+
+    def admit_and_sample():
+        # Only admissions grow the live set, so sampling here sees its peak.
+        nonlocal high_water
+        admit()
+        high_water = max(high_water, len(driver.active))
+
+    driver._admit = admit_and_sample
+    driver.start()
+    network.run(until=duration)
+    driver.finish()
+    appender.close()
+    live_agents = sum(len(node.agents) for node in network.nodes.values())
+    return driver, high_water, live_agents
+
+
+def test_shard_holds_only_live_flows(tmp_path):
+    """Flows retire at the ACK that completes them, so a shard's live
+    set is the flows still transferring: a few dozen at thousands of
+    arrivals per second, and no larger a share of the arrivals when the
+    rate doubles."""
+    shares = []
+    for rate in (2000.0, 4000.0):
+        path = tmp_path / f"rate{rate:g}.jsonl"
+        driver, high_water, live_agents = _fat_tree_shard(rate, path)
+        arrivals = rate * 1.0
+        assert driver.admitted > 0.9 * arrivals
+        assert driver.completed > 0.99 * driver.admitted
+        assert high_water < 0.02 * arrivals
+        assert live_agents == 0
+        records = [
+            record for record in map(json.loads, path.read_text().splitlines())
+            if record.get("record") == "flow"
+        ]
+        assert len(records) == driver.admitted
+        for record in records:
+            assert record["admitted"] <= record["finish_time"] <= 1.0
+        shares.append(high_water / driver.admitted)
+    assert shares[1] <= shares[0]
 
 
 def test_stream_has_header_then_valid_records(tmp_path):
@@ -194,8 +255,8 @@ def test_plan_validation_and_seed_derivation():
     scenario = _pinned_scenario(seed=5)
     with pytest.raises(ValueError):
         ShardPlan(scenario=scenario, num_shards=0)
-    with pytest.raises(ValueError):
-        ShardPlan(scenario=scenario, reap_interval=0.0)
+    with pytest.raises(TypeError):  # flows retire at completion: no reaper
+        ShardPlan(scenario=scenario, reap_interval=1.0)
     plan = ShardPlan(scenario=scenario, num_shards=3)
     assert plan.seed == 5
     seeds = {plan.shard_seed(i) for i in range(3)}
