@@ -11,9 +11,9 @@ from repro.obs import read_jsonl, summarize_records, write_csv
 
 def _cmd_obs(args: argparse.Namespace) -> int:
     """Inspect or convert an existing ``repro.obs/v1`` record stream."""
-    # Inspection should survive a corrupt mid-file line (a shard worker
-    # killed mid-append under a concurrent stream); the skipped count is
-    # reported as a RuntimeWarning.
+    # The file may come from anywhere (hand-edited, cut off mid-line), so
+    # inspection skips an unparseable line and reports the count as a
+    # RuntimeWarning.
     records = read_jsonl(args.file, on_invalid="skip")
     if args.obs_command == "summary":
         print(summarize_records(records))

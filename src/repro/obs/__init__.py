@@ -29,9 +29,7 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:
     from repro.obs.export import (
         SCHEMA,
-        JsonlAppender,
         read_jsonl,
-        recover_jsonl_tail,
         summarize_records,
         write_csv,
         write_jsonl,
@@ -72,7 +70,6 @@ _EXPORTS = {
     "Gauge": "repro.obs.registry",
     "Histogram": "repro.obs.registry",
     "Instrumentation": "repro.obs.instrument",
-    "JsonlAppender": "repro.obs.export",
     "MetricsRegistry": "repro.obs.registry",
     "PacketTracer": "repro.obs.trace",
     "QueueMonitor": "repro.obs.monitors",
@@ -84,7 +81,6 @@ _EXPORTS = {
     "maybe_observe": "repro.obs.instrument",
     "observe": "repro.obs.instrument",
     "read_jsonl": "repro.obs.export",
-    "recover_jsonl_tail": "repro.obs.export",
     "set_ambient": "repro.obs.instrument",
     "summarize_records": "repro.obs.export",
     "write_csv": "repro.obs.export",
@@ -111,9 +107,7 @@ __all__ = [
     "get_ambient",
     "maybe_observe",
     "observe",
-    "JsonlAppender",
     "read_jsonl",
-    "recover_jsonl_tail",
     "set_ambient",
     "summarize_records",
     "write_csv",

@@ -195,137 +195,6 @@ def write_jsonl(
     return path
 
 
-def recover_jsonl_tail(path: PathLike) -> int:
-    """Truncate a torn tail off a JSONL file; return bytes removed.
-
-    A process killed mid-append can leave (a) a final line without its
-    newline or (b) a newline-terminated final line that is not valid
-    JSON (partial flush).  Both are removed, repeatedly, until the file
-    ends in a complete, parseable line (or is empty).  Records that were
-    fully written are never touched, so append-mode exporters (the
-    ``scale`` shard streams) can recover by calling this before appending.
-    """
-    path = Path(path)
-    try:
-        handle = path.open("r+b")
-    except OSError:
-        return 0
-    removed = 0
-    with handle:
-        handle.seek(0, io.SEEK_END)
-        size = handle.tell()
-        while size > 0:
-            if _read_at(handle, size - 1, 1) == b"\n":
-                start = _rfind_newline(handle, size - 1) + 1
-                line = _read_at(handle, start, size - 1 - start)
-                if _is_json_line(line):
-                    break
-            else:
-                start = _rfind_newline(handle, size) + 1
-            handle.truncate(start)
-            removed += size - start
-            size = start
-    return removed
-
-
-class JsonlAppender:
-    """Crash-safe incremental ``repro.obs/v1`` JSONL writer.
-
-    Opens ``path`` in append mode after truncating any torn tail line
-    (see :func:`recover_jsonl_tail`); each :meth:`write` emits one
-    record as a single unbuffered O_APPEND write, so a kill between
-    writes loses at most the record in flight — never the stream behind
-    it.  Because every record reaches the file in one ``write(2)`` at a
-    kernel-assigned offset, any number of appenders — including
-    concurrent worker *processes* sharding one scenario — can share the
-    path without ever interleaving partial lines.  A header record is
-    written automatically when the file starts out empty.
-
-    Known limitation with concurrent writers: if one writer is killed
-    *mid-write* while others stay live, its torn fragment lands mid-file
-    once a survivor appends after it — :func:`recover_jsonl_tail` only
-    repairs the final line, so the fused corrupt line persists.  Readers
-    that must survive this should use ``read_jsonl(path,
-    on_invalid="skip")``; writers that cannot tolerate it should give
-    each process its own file.
-
-    Attributes:
-        recovered_bytes: Size of the torn tail removed at open (0 for a
-            clean file).
-    """
-
-    def __init__(
-        self,
-        path: PathLike,
-        header: bool = True,
-        fsync: bool = False,
-        **header_fields: Any,
-    ) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.recovered_bytes = recover_jsonl_tail(self.path)
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        self._fsync = fsync
-        self._handle: Optional[Any] = self.path.open("ab", buffering=0)
-        if fresh and header:
-            self.write(header_record(**header_fields))
-
-    def write(self, record: Dict[str, Any]) -> None:
-        if self._handle is None:
-            raise ValueError(f"appender for {self.path} is closed")
-        line = json.dumps(record, default=str) + "\n"
-        self._handle.write(line.encode("utf-8"))
-        if self._fsync:
-            import os
-
-            os.fsync(self._handle.fileno())
-
-    def extend(self, records: Iterable[Dict[str, Any]]) -> None:
-        for record in records:
-            self.write(record)
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "JsonlAppender":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
-def _read_at(handle: Any, offset: int, length: int) -> bytes:
-    handle.seek(offset)
-    return handle.read(length)
-
-
-def _rfind_newline(handle: Any, before: int) -> int:
-    """Offset of the last ``\\n`` strictly before ``before``, or -1."""
-    chunk_size = 65536
-    end = before
-    while end > 0:
-        start = max(0, end - chunk_size)
-        chunk = _read_at(handle, start, end - start)
-        index = chunk.rfind(b"\n")
-        if index != -1:
-            return start + index
-        end = start
-    return -1
-
-
-def _is_json_line(line: bytes) -> bool:
-    stripped = line.strip()
-    if not stripped:
-        return True  # a blank line is harmless padding, not a torn record
-    try:
-        json.loads(stripped.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return False
-    return True
-
-
 def iter_jsonl(
     path: PathLike, on_invalid: str = "raise"
 ) -> Iterator[Dict[str, Any]]:
@@ -354,7 +223,7 @@ def iter_jsonl(
 
         warnings.warn(
             f"{path}: skipped {skipped} unparseable JSONL line(s) "
-            f"(torn concurrent append?)",
+            f"(truncated or not JSON)",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -368,11 +237,11 @@ def read_jsonl(
     ``on_invalid`` controls what happens on an unparseable line:
     ``"raise"`` (default) propagates the ``json.JSONDecodeError``;
     ``"skip"`` drops the line and emits a single :class:`RuntimeWarning`
-    naming the file and the count.  Skip mode exists for streams written
-    by many concurrent appenders under a kill/retry policy — a writer
-    killed mid-append can leave a torn fragment that a live writer's
-    next append fuses into one corrupt mid-file line (tail recovery only
-    repairs the *last* line; see :class:`JsonlAppender`).
+    naming the file and the count.  Skip mode exists for files from
+    outside this program (the ``repro obs`` inspector reads whatever it
+    is given): a hand-edited file, a capture cut off mid-line, another
+    tool's log.  Every file this program writes has one writer and
+    whole lines only.
     """
     return list(iter_jsonl(path, on_invalid))
 

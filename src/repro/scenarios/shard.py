@@ -22,16 +22,22 @@ across workers.
 Bounded memory is the other contract.  Inside a shard, flows are
 *admitted* lazily from the workload generator at their start times and
 *retired* at the ACK that completes them (their per-flow record is
-streamed to the shard's :class:`~repro.obs.export.JsonlAppender` and the
-agents leave their nodes), so resident state is the live population —
-not everything that ever ran — and per-flow results are never
-assembled in memory.
+streamed to the shard's own part file and the agents leave their
+nodes), so resident state is the live population — not everything that
+ever ran — and per-flow results are never assembled in memory.
+
+Every file has one writer: a shard writes only its part, and
+:func:`run_scale` alone writes the stream — the header, then the parts
+of the shards that succeeded in shard order — and deletes the parts.
 """
 
 from __future__ import annotations
 
+import json
+import shutil
 from dataclasses import dataclass, field, replace
-from typing import Any, ClassVar, Dict, Iterator, List, Mapping, Optional
+from pathlib import Path
+from typing import IO, Any, ClassVar, Dict, Iterator, List, Mapping, Optional
 
 from repro.app.bulk import BulkTransfer
 from repro.core.pr import PrConfig
@@ -39,7 +45,7 @@ from repro.exec.runner import ResultCache, run_sweep
 from repro.exec.spec import ExperimentSpec, Scale, SweepCell
 from repro.net.network import Network
 from repro.obs import maybe_observe
-from repro.obs.export import JsonlAppender
+from repro.obs.export import header_record
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.workload import FlowSpec
 from repro.sim import Simulator
@@ -60,6 +66,15 @@ CELL_FUNC = "repro.scenarios.shard:run_shard_cell"
 #: the first slow-start of a long flow on a fat path overshoots by
 #: hundreds of segments (see fig6's DEFAULT_INITIAL_SSTHRESH).
 SCENARIO_INITIAL_SSTHRESH = 128.0
+
+
+def _part_path(stream_path: str, shard_index: int) -> Path:
+    """The part file one shard writes its records to, named after the stream."""
+    return Path(f"{stream_path}.shard{shard_index}")
+
+
+def _line(record: Dict[str, Any]) -> str:
+    return json.dumps(record, default=str) + "\n"
 
 
 def _max_rss_kb() -> int:
@@ -83,7 +98,7 @@ class _ShardDriver:
         self,
         network: Network,
         flows: Iterator[FlowSpec],
-        appender: Optional[JsonlAppender],
+        part: Optional[IO[str]],
         cell: str,
     ) -> None:
         self.network = network
@@ -91,7 +106,7 @@ class _ShardDriver:
         self.cell = cell
         self._flows = flows
         self._pending: Optional[FlowSpec] = next(flows, None)
-        self._appender = appender
+        self._part = part
         self.active: Dict[int, BulkTransfer] = {}
         self._sizes: Dict[int, Optional[int]] = {}
         self._starts: Dict[int, float] = {}
@@ -179,23 +194,21 @@ class _ShardDriver:
         if completed:
             self.completed += 1
             stats["completed"] += 1
-        if self._appender is not None:
-            self._appender.write(
-                {
-                    "record": "flow",
-                    "cell": self.cell,
-                    "flow_id": flow_id,
-                    "variant": flow.variant,
-                    "src": flow.src,
-                    "dst": flow.dst,
-                    "start": self._starts.pop(flow_id),
-                    "admitted": self._admitted.pop(flow_id),
-                    "size_segments": self._sizes.pop(flow_id),
-                    "delivered_segments": delivered,
-                    "completed": completed,
-                    "finish_time": self.sim.now,
-                }
-            )
+        if self._part is not None:
+            self._part.write(_line({
+                "record": "flow",
+                "cell": self.cell,
+                "flow_id": flow_id,
+                "variant": flow.variant,
+                "src": flow.src,
+                "dst": flow.dst,
+                "start": self._starts.pop(flow_id),
+                "admitted": self._admitted.pop(flow_id),
+                "size_segments": self._sizes.pop(flow_id),
+                "delivered_segments": delivered,
+                "completed": completed,
+                "finish_time": self.sim.now,
+            }))
         else:
             self._starts.pop(flow_id)
             self._admitted.pop(flow_id)
@@ -241,13 +254,12 @@ def run_shard_cell(
     spec's own seed — every shard simulates the identical graph the
     saved scenario describes.  Returns a JSON-able shard summary.
 
-    Note: a cache hit on this cell returns the summary *without*
-    re-writing the per-flow stream — run with caching disabled when the
-    stream file is the product.  Per-flow records stream as the shard
-    runs, so a shard that dies and is *retried* re-appends the records
-    it already wrote (dedupe on ``(cell, flow_id)`` keeping the last
-    occurrence, or run with ``retries=0`` when the stream is the
-    product).
+    With a ``stream_path``, the shard writes its ``flow`` records and
+    its ``shard`` summary to its own part file,
+    ``<stream_path>.shard<shard_index>``, as it runs; a retried attempt
+    rewrites the part from the start.  A cache hit on this cell returns
+    the summary *without* writing the part — run with caching disabled
+    when the stream is the product.
     """
     spec = ScenarioSpec.from_jsonable(scenario)
     if not 0 <= shard_index < num_shards:
@@ -262,17 +274,13 @@ def run_shard_cell(
     flows = (
         flow for flow in spec.flows() if flow.flow_id % num_shards == shard_index
     )
-    appender = (
-        JsonlAppender(
-            stream_path,
-            scenario=spec.name,
-            command="scale",
-        )
-        if stream_path
-        else None
-    )
+    part: Optional[IO[str]] = None
+    if stream_path:
+        path = _part_path(stream_path, shard_index)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        part = path.open("w", encoding="utf-8")
     try:
-        driver = _ShardDriver(network, flows, appender, cell)
+        driver = _ShardDriver(network, flows, part, cell)
         driver.start()
         network.run(until=spec.duration)
         driver.finish()
@@ -294,12 +302,12 @@ def run_shard_cell(
             ),
             "max_rss_kb": _max_rss_kb(),
         }
-        if appender is not None:
-            appender.write({"record": "shard", "cell": cell, **summary})
+        if part is not None:
+            part.write(_line({"record": "shard", "cell": cell, **summary}))
         return summary
     finally:
-        if appender is not None:
-            appender.close()
+        if part is not None:
+            part.close()
 
 
 @dataclass
@@ -346,19 +354,12 @@ class ScenarioReport:
 class ShardPlan(ExperimentSpec):
     """A scenario exploded into per-flow-group shard cells.
 
-    ``stream_path`` (optional) is where every shard appends its
-    ``repro.obs/v1`` flow records; concurrent shards share the file
-    safely through :class:`~repro.obs.export.JsonlAppender`'s atomic
-    appends.
-
-    Two stream caveats under the executor's failure policy (see
-    ``docs/SCENARIOS.md``): a shard killed mid-append can leave one torn
-    partial line that a *concurrent* live writer then extends into a
-    corrupt mid-file record (``recover_jsonl_tail`` only repairs the
-    tail — read such streams with ``read_jsonl(path,
-    on_invalid="skip")``), and a retried shard re-appends the flow
-    records it streamed before dying (dedupe on ``(cell, flow_id)``, or
-    run with ``retries=0`` when the stream is the product).
+    ``stream_path`` (optional) is the ``repro.obs/v1`` file of per-flow
+    records (see ``docs/SCENARIOS.md``).  Each shard writes its records
+    to its own part; :func:`run_scale` then writes the stream — header,
+    then the parts of the shards that succeeded, in shard order — so its
+    flow lines are the same for any ``jobs``, it holds exactly the flows
+    of the report, and it replaces whatever was at the path before.
     """
 
     name: ClassVar[str] = "scale"
@@ -473,19 +474,40 @@ def run_scale(
 ) -> ScenarioReport:
     """Run a sharded scenario through the sweep executor.
 
-    When the plan streams per-flow records, the target file is created
-    (with its header) before the fan-out so concurrent shards only ever
-    append.  Extra keyword arguments (``runner``, ``timeout``,
-    ``retries``, ``keep_going``) forward to
-    :func:`~repro.exec.runner.run_sweep`.
+    When the plan streams per-flow records, the stream is written once
+    the shards are done: the header, then the part of every shard that
+    succeeded, in shard order.  The parts are deleted either way.  Extra
+    keyword arguments (``runner``, ``timeout``, ``retries``,
+    ``keep_going``) forward to :func:`~repro.exec.runner.run_sweep`.
     """
-    if plan.stream_path:
-        JsonlAppender(
-            plan.stream_path, scenario=plan.scenario.name, command="scale"
-        ).close()
-    report = run_sweep(plan, jobs=jobs, cache=cache, seed=seed, **exec_options)
-    assert isinstance(report, ScenarioReport)
-    return report
+    try:
+        report = run_sweep(
+            plan, jobs=jobs, cache=cache, seed=seed, **exec_options
+        )
+        assert isinstance(report, ScenarioReport)
+        if plan.stream_path:
+            _write_stream(plan.stream_path, report)
+        return report
+    finally:
+        if plan.stream_path:
+            for index in range(plan.num_shards):
+                _part_path(plan.stream_path, index).unlink(missing_ok=True)
+
+
+def _write_stream(stream_path: str, report: ScenarioReport) -> None:
+    """Header, then each succeeded shard's part, copied a chunk at a time.
+
+    A shard served from the cache wrote no part and adds no records.
+    """
+    failed = set(report.failed_shards)
+    with open(stream_path, "wb") as stream:
+        header = header_record(scenario=report.scenario, command="scale")
+        stream.write(_line(header).encode("utf-8"))
+        for index in range(report.num_shards):
+            path = _part_path(stream_path, index)
+            if f"shard/{index}" not in failed and path.exists():
+                with path.open("rb") as part:
+                    shutil.copyfileobj(part, stream)
 
 
 def format_scale(report: ScenarioReport) -> str:

@@ -598,14 +598,21 @@ def test_scale_tiny_run(tmp_path, capsys):
     assert records[0]["record"] == "header"
     assert any(record["record"] == "flow" for record in records)
 
-    # The saved spec reproduces the identical run.
+    # The saved spec reproduces the identical run, and the rerun
+    # replaces the stream instead of appending to it.
     assert main([
         "scale", "--spec", str(spec_out), "--shards", "2", "--no-cache",
+        "--metrics-out", str(stream), "--json", str(tmp_path / "rerun.json"),
     ]) == 0
     rerun = capsys.readouterr().out
     for line in out.splitlines():
         if line.startswith("Scenario"):
             assert line in rerun
+    flows = json.loads((tmp_path / "rerun.json").read_text())["flows"]
+    kinds = [json.loads(line)["record"]
+             for line in stream.read_text().splitlines()]
+    assert kinds.count("header") == 1 and kinds[0] == "header"
+    assert kinds.count("flow") == flows > 0
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,8 @@ cell is served by the cache, the cell that was in flight runs again
 from scratch (same result as an uninterrupted run), and the cell that
 never started runs once.
 
-Also here: the torn-tail JSONL recovery that ``scale`` shard streams
-append through.
+Also here: a ``scale`` run killed mid-shard and run again writes a
+whole stream, because every file has one writer.
 """
 
 import json
@@ -22,7 +22,7 @@ import time
 import pytest
 
 from repro.exec.testing import flow_cell
-from repro.obs.export import JsonlAppender, read_jsonl, recover_jsonl_tail
+from repro.obs.export import read_jsonl
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -124,38 +124,71 @@ def test_sigkill_mid_sweep_then_resume_loses_nothing(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Torn-tail JSONL recovery (what ``scale`` shard streams append through)
+# A killed ``scale`` run (each shard writes its part, run_scale the stream)
 # ----------------------------------------------------------------------
-def test_recover_jsonl_tail_truncates_partial_line(tmp_path):
-    path = tmp_path / "x.jsonl"
-    path.write_bytes(b'{"a": 1}\n{"b": 2}\n{"c": ')
-    removed = recover_jsonl_tail(path)
-    assert removed == len(b'{"c": ')
-    assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
+_SCALE = """
+import os, signal, sys
+sys.path.insert(0, {src!r})
+from repro.scenarios import ScenarioSpec, ShardPlan, WorkloadSpec, run_scale
+from repro.scenarios.shard import _ShardDriver
+from repro.topologies import FatTreeSpec
+
+retire = _ShardDriver._retire
+
+def dying_retire(self, flow_id):
+    retire(self, flow_id)
+    if self.cell == "shard/1" and self.admitted - len(self.active) == 100:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+if sys.argv[2] == "kill":
+    _ShardDriver._retire = dying_retire
+spec = ScenarioSpec(
+    topology=FatTreeSpec(k=4, hosts_per_edge=2, seed=3),
+    workload=WorkloadSpec(arrival="poisson", arrival_rate=2000.0,
+                          size="fixed", mean_size_segments=2.0),
+    duration=0.5, seed=3, name="killed",
+)
+report = run_scale(ShardPlan(scenario=spec, num_shards=2,
+                             stream_path=sys.argv[1]))
+print(report.flows)
+"""
 
 
-def test_recover_jsonl_tail_drops_unparseable_terminated_line(tmp_path):
-    path = tmp_path / "x.jsonl"
-    path.write_bytes(b'{"a": 1}\n{"b": \n{"c":\n')
-    recover_jsonl_tail(path)
-    assert read_jsonl(path) == [{"a": 1}]
+@pytest.mark.faults
+@pytest.mark.timeout(300)
+def test_scale_rerun_after_kill_writes_a_whole_stream(tmp_path):
+    """SIGKILL a ``scale`` run while its second shard streams, onto a
+    path that already holds a torn file; then run it again.  The kill
+    leaves the old file alone (only ``run_scale`` writes it, after the
+    shards), and the rerun replaces it with exactly its own records."""
+    stream = tmp_path / "flows.jsonl"
+    stream.write_bytes(b'{"record": "flow", "cell": "stale"}\n{"record": "fl')
+    script = _SCALE.format(src=SRC_DIR)
 
+    killed = subprocess.run(
+        [sys.executable, "-c", script, str(stream), "kill"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert killed.returncode == -signal.SIGKILL, killed.stderr
+    assert stream.read_bytes().endswith(b'{"record": "fl')
+    # Shard 0 finished its part; shard 1 died with part of its part.
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "flows.jsonl", "flows.jsonl.shard0", "flows.jsonl.shard1",
+    ]
+    assert (tmp_path / "flows.jsonl.shard1").stat().st_size > 0
 
-def test_recover_jsonl_tail_noops_on_clean_and_missing(tmp_path):
-    path = tmp_path / "x.jsonl"
-    assert recover_jsonl_tail(path) == 0  # missing file
-    path.write_bytes(b'{"a": 1}\n')
-    assert recover_jsonl_tail(path) == 0
-    assert read_jsonl(path) == [{"a": 1}]
-
-
-def test_jsonl_appender_resumes_after_torn_write(tmp_path):
-    path = tmp_path / "x.jsonl"
-    with JsonlAppender(path, header=False) as out:
-        out.write({"n": 1})
-    with path.open("ab") as handle:
-        handle.write(b'{"n": 2')  # torn
-    with JsonlAppender(path, header=False) as out:
-        assert out.recovered_bytes > 0
-        out.write({"n": 3})
-    assert read_jsonl(path) == [{"n": 1}, {"n": 3}]
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(stream), "run"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    flows = int(done.stdout)
+    records = read_jsonl(stream)  # every line parses
+    assert records[0]["record"] == "header"
+    streamed = [record for record in records if record["record"] == "flow"]
+    assert len(streamed) == flows > 200
+    assert {record["cell"] for record in streamed} == {"shard/0", "shard/1"}
+    assert len({record["flow_id"] for record in streamed}) == flows
+    assert [record["cell"] for record in records
+            if record["record"] == "shard"] == ["shard/0", "shard/1"]
+    assert [path.name for path in tmp_path.iterdir()] == ["flows.jsonl"]

@@ -48,9 +48,9 @@ def test_jsonl_round_trip_preserves_records(tmp_path):
 
 
 def test_read_jsonl_tolerates_corrupt_midfile_line(tmp_path):
-    """A writer killed mid-append under concurrent writers can fuse a
-    torn fragment into one corrupt mid-file line; skip mode reads past
-    it (with a warning) where the default raises."""
+    """A file from outside the program can hold a corrupt mid-file
+    line; skip mode reads past it (with a warning) where the default
+    raises."""
     import json as _json
 
     import pytest

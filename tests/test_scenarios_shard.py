@@ -1,12 +1,10 @@
 """Tests for sharded scenario execution: serial-vs-sharded equivalence,
-partition invariants, streaming output, and appender concurrency."""
+partition invariants, and the stream (one writer per file)."""
 
 import json
-import multiprocessing
 
 import pytest
 
-from repro.obs.export import JsonlAppender
 from repro.scenarios import (
     ScenarioSpec,
     ShardPlan,
@@ -45,6 +43,14 @@ def _flow_records(path):
         for record in records
         if record.get("record") == "flow"
     )
+
+
+def _flow_lines(path):
+    """The stream's raw ``flow`` lines, in file order."""
+    return [
+        line for line in path.read_text().splitlines()
+        if '"record": "flow"' in line
+    ]
 
 
 def _report_key(report):
@@ -94,6 +100,9 @@ def test_sharded_serial_and_parallel_bit_identical(tmp_path):
         jobs=3,
     )
     assert _flow_records(path_a) == _flow_records(path_b)
+    # Not just the same set: the same lines in the same (shard) order.
+    assert _flow_lines(path_a) == _flow_lines(path_b)
+    assert len(_flow_lines(path_a)) == report_a.flows
     assert _report_key(report_a) == _report_key(report_b)
 
 
@@ -126,8 +135,8 @@ def _fat_tree_shard(rate, stream_path, duration=1.0):
         name="live-bound",
     )
     network = build_shard_network(spec, 3).network
-    appender = JsonlAppender(str(stream_path), scenario=spec.name)
-    driver = _ShardDriver(network, iter(spec.flows()), appender, "shard/0")
+    part = open(stream_path, "w", encoding="utf-8")
+    driver = _ShardDriver(network, iter(spec.flows()), part, "shard/0")
     high_water = 0
     admit = driver._admit
 
@@ -141,7 +150,7 @@ def _fat_tree_shard(rate, stream_path, duration=1.0):
     driver.start()
     network.run(until=duration)
     driver.finish()
-    appender.close()
+    part.close()
     live_agents = sum(len(node.agents) for node in network.nodes.values())
     return driver, high_water, live_agents
 
@@ -281,33 +290,41 @@ def test_assemble_partial_reports_failed_shards():
     assert report.flows == summary["flows"]
 
 
-def _append_burst(path, worker):
-    appender = JsonlAppender(path, header=False)
-    for i in range(200):
-        appender.write({"record": "flow", "worker": worker, "i": i,
-                        "pad": "x" * (worker * 40 + 1)})
-    appender.close()
+def test_failed_and_retried_shards_stream_once(tmp_path, monkeypatch):
+    """A shard that dies after streaming some flows adds nothing to the
+    stream (which then agrees with the report), and a shard that dies
+    and is retried streams each of its flows once."""
+    retire = _ShardDriver._retire
+    deaths = []
 
+    def dying_retire(self, flow_id):
+        retire(self, flow_id)
+        retired = self.admitted - len(self.active)
+        if self.cell == "shard/1" and retired == 3 and deaths:
+            deaths.pop()
+            raise RuntimeError("shard died mid-stream")
 
-def test_concurrent_appenders_never_interleave(tmp_path):
-    """Multiple processes appending to one stream produce only whole
-    lines (the O_APPEND single-write guarantee shards rely on)."""
-    path = str(tmp_path / "concurrent.jsonl")
-    JsonlAppender(path, scenario="concurrency-test").close()  # header
-    context = multiprocessing.get_context("fork")
-    workers = [
-        context.Process(target=_append_burst, args=(path, worker))
-        for worker in range(4)
-    ]
-    for process in workers:
-        process.start()
-    for process in workers:
-        process.join(timeout=60)
-        assert process.exitcode == 0
-    with open(path) as handle:
-        records = [json.loads(line) for line in handle]
-    flows = [record for record in records if record.get("record") == "flow"]
-    assert len(flows) == 4 * 200
-    for worker in range(4):
-        indices = [r["i"] for r in flows if r["worker"] == worker]
-        assert indices == list(range(200))  # per-writer order preserved
+    monkeypatch.setattr(_ShardDriver, "_retire", dying_retire)
+    path = tmp_path / "stream.jsonl"
+    plan = ShardPlan(scenario=_pinned_scenario(), num_shards=3,
+                     stream_path=str(path))
+
+    deaths.append(1)
+    report = run_scale(plan, jobs=1, keep_going=True)
+    assert report.failed_shards == ["shard/1"] and not deaths
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    flows = [record for record in records if record["record"] == "flow"]
+    assert len(flows) == report.flows > 0
+    assert {record["cell"] for record in flows} == {"shard/0", "shard/2"}
+    assert [record["cell"] for record in records if
+            record["record"] == "shard"] == ["shard/0", "shard/2"]
+    assert list(tmp_path.iterdir()) == [path]  # the parts are deleted
+
+    deaths.append(1)
+    report = run_scale(plan, jobs=1, retries=1, backoff=0.0)
+    assert report.complete and not deaths
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    keys = [(record["cell"], record["flow_id"])
+            for record in records if record["record"] == "flow"]
+    assert len(keys) == len(set(keys)) == report.flows
+    assert sum(1 for record in records if record["record"] == "header") == 1
